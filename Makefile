@@ -6,7 +6,7 @@
 BUILD := _build/default
 SARIF := _build/sarif
 
-.PHONY: all build test lint sema sema-self sarif check bench bench-dp bench-json bench-baseline perf-gate bench-sema trace metrics-demo audit-demo clean
+.PHONY: all build test lint sema sema-self sarif check bench bench-dp bench-json bench-baseline perf-gate bench-selftest bench-sema trace metrics-demo audit-demo clean
 
 all: build
 
@@ -60,6 +60,12 @@ bench-baseline: build
 # fail on >25% regression of the streaming-push hot path vs the baseline
 perf-gate: build
 	dune exec bench/perf_gate.exe
+
+# self-test of the end-to-end benchmark (perfbench/): every workload
+# builds against the current library API and reports every metric
+# BENCHMARK.json names with 0 failed ops; minutes, so not part of check
+bench-selftest:
+	python3 perfbench/selftest.py
 
 # Chrome/Perfetto trace of the quick bench suite plus the no-op sink
 # cost contract (see docs/OBSERVABILITY.md)

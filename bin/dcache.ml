@@ -1,8 +1,13 @@
 (* dcache — command-line front end to the data-caching library.
 
    Subcommands: generate (synthesise a trace), solve (offline optimum),
-   online (speculative caching), compare (all policies), experiments
-   (regenerate every table of EXPERIMENTS.md). *)
+   online (speculative caching), compare (all policies), analyze
+   (describe a trace), render (SVG space-time diagram), stream
+   (prefix optima from the incremental solver), audit (streaming
+   SC-vs-OPT audit of a trace), serve-metrics (serving simulation
+   behind a Prometheus /metrics endpoint), check-metrics (validate an
+   exposition file), experiments (regenerate every table of
+   EXPERIMENTS.md). *)
 
 open Cmdliner
 open Dcache_core
@@ -172,7 +177,7 @@ let solve_cmd =
   let run () trace m mu lambda render show_schedule =
     let model = or_die (model_of mu lambda) in
     let seq = or_die (load_trace trace m) in
-    let result = Solve_cache.solve model seq in
+    let result = Offline_dp.solve model seq in
     let schedule = Offline_dp.schedule result in
     Printf.printf "servers: %d, requests: %d, horizon: %g\n" (Sequence.m seq) (Sequence.n seq)
       (Sequence.horizon seq);
@@ -576,10 +581,6 @@ let serve_metrics_cmd =
             ~time:(Sequence.time seq j)
         done;
         let report = Dcache_sim.Auditor.finish auditor in
-        (* memoised offline re-solve of the same instance: keeps the
-           solve_cache.* counters and the entry_freq rank profile live
-           under serving traffic (a repeated seed is a cache hit) *)
-        ignore (Solve_cache.solve model seq : Offline_dp.t);
         let online = report.Dcache_sim.Auditor.online_cost in
         let opt = report.Dcache_sim.Auditor.opt_cost in
         online_total := !online_total +. online;
@@ -587,7 +588,6 @@ let serve_metrics_cmd =
         Obs.set_gauge g_item_opt.(k) opt;
         Obs.set_gauge g_item_ratio.(k) (Dcache_obs.Audit.ratio ~online ~opt)
       done;
-      Solve_cache.publish_freqs ();
       Obs.set_gauge g_opt !opt_total;
       (* always written: a zero-optimum batch reads 1.0 rather than
          silently keeping the previous batch's ratio *)

@@ -64,7 +64,7 @@ let classic_lru ~capacity model seq =
   let m = Sequence.m seq in
   let cached_since = Array.make m nan in
   let last_use = Array.make m nan in
-  (* flat membership state (the Pqueue.Flat discipline): a bool column
+  (* flat membership state (parallel columns, as in Pqueue): a bool column
      plus a count instead of a cons list, so the hit test is one load
      and the MRU/LRU extrema are closure- and cell-free scans — the
      old list walk burned ~80k minor words/run on List.mem, the fold

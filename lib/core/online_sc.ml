@@ -1,5 +1,5 @@
 module Obs = Dcache_obs.Obs
-module Pq = Dcache_prelude.Pqueue.Flat
+module Pq = Dcache_prelude.Pqueue
 
 (* registered once; probed in bulk at end-of-run so the request loop
    pays nothing for them (the epoch histogram is the one in-loop

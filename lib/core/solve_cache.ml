@@ -12,23 +12,8 @@ let c_miss = Obs.counter "solve_cache.miss"
 let c_evict = Obs.counter "solve_cache.evict"
 let g_size = Obs.gauge "solve_cache.size"
 
-(* [all_freqs] as a labeled family: one gauge child per popularity
-   rank (rank 0 = hottest entry) plus an ["other"] child carrying the
-   summed tail, so the hit-frequency profile of the memo table is
-   scrapeable without unbounded cardinality.  Lanes are resolved here,
-   once. *)
-let freq_lanes = 8
-
-let v_entry_freq =
-  Obs.gauge_vec "solve_cache.entry_freq" ~labels:[ "rank" ] ~max_children:(freq_lanes + 1)
-
-let g_entry_freq =
-  Array.init (freq_lanes + 1) (fun i ->
-      Obs.gauge_with_label v_entry_freq (if i < freq_lanes then string_of_int i else "other"))
-
 type entry = {
   result : Offline_dp.t;
-  mutable freq : int; (* hits served by this entry *)
   mutable stamp : int; (* last-touch tick, for LRU eviction *)
 }
 
@@ -70,7 +55,6 @@ let solve model seq =
   | Some e ->
       incr tick;
       e.stamp <- !tick;
-      e.freq <- e.freq + 1;
       incr hits;
       Obs.incr c_hit;
       e.result
@@ -80,7 +64,7 @@ let solve model seq =
       Obs.incr c_miss;
       incr tick;
       if Hashtbl.length table >= !bound then evict_lru ();
-      Hashtbl.add table k { result; freq = 0; stamp = !tick };
+      Hashtbl.add table k { result; stamp = !tick };
       Obs.set_gauge g_size (float_of_int (Hashtbl.length table));
       result
 
@@ -88,26 +72,6 @@ let stats () =
   { hits = !hits; misses = !misses; evictions = !evictions; size = Hashtbl.length table }
 
 let size () = Hashtbl.length table
-
-let all_freqs () =
-  (* dcache-lint: allow R1 — the unordered fold is immediately sorted *)
-  let fs = Hashtbl.fold (fun _ e acc -> e.freq :: acc) table [] in
-  List.sort (fun a b -> Int.compare b a) fs
-
-let publish_freqs () =
-  if Obs.probe () then begin
-    let fs = all_freqs () in
-    (* top ranks into their own lanes, the tail summed into "other";
-       unused lanes are written to 0 so a shrunk table doesn't leave
-       stale ranks behind *)
-    let lane = Array.make (freq_lanes + 1) 0 in
-    List.iteri
-      (fun rank f ->
-        if rank < freq_lanes then lane.(rank) <- f
-        else lane.(freq_lanes) <- lane.(freq_lanes) + f)
-      fs;
-    Array.iteri (fun i v -> Obs.set_gauge g_entry_freq.(i) (float_of_int v)) lane
-  end
 
 let clear () =
   Hashtbl.reset table;

@@ -1,18 +1,20 @@
 (** Digest-keyed memo cache for {!Offline_dp.solve}.
 
-    Sweep-heavy workloads (regret sweeps, rolling-horizon re-planning,
-    the serve-metrics loop) re-solve the offline DP on identical
-    [(cost model, sequence)] inputs; this module amortises those calls
-    behind an MD5 digest of the instance — the model's three rates as
-    IEEE bits plus {!Sequence.add_fingerprint} — with bounded capacity
-    and least-recently-used eviction.
+    A caller that re-solves the offline DP on identical
+    [(cost model, sequence)] inputs can amortise those calls behind an
+    MD5 digest of the instance — the model's three rates as IEEE bits
+    plus {!Sequence.add_fingerprint} — with bounded capacity and
+    least-recently-used eviction.  No [dcache] subcommand calls it:
+    the streaming auditor already yields the per-item optimum, and a
+    one-shot [dcache solve] could never hit.  It is kept only for the
+    end-to-end benchmark's replay of the serving loop and the bench
+    cases that price a hit.
 
     The bookkeeping discipline (typed per-cache stats, [size],
-    [all_freqs], [clear]) is modeled on coq-lsp's [Memo] tables.
-    Counters [solve_cache.hit]/[miss]/[evict] and the [solve_cache.size]
-    gauge are registered with [dcache_obs], so a Recording sink (e.g.
-    [dcache serve-metrics]) exports them at the Prometheus [/metrics]
-    endpoint.
+    [clear]) is modeled on coq-lsp's [Memo] tables.  Counters
+    [solve_cache.hit]/[miss]/[evict] and the [solve_cache.size] gauge
+    are registered with [dcache_obs], so a Recording sink exports
+    them like any other family.
 
     The cache is a module-level table and is not domain-safe: callers
     that share it across {!Prelude.Pool} domains must serialise
@@ -39,18 +41,6 @@ val stats : unit -> stats
 
 val size : unit -> int
 (** Live entries; [stats ()] bundles the same number. *)
-
-val all_freqs : unit -> int list
-(** Per-entry hit counts of the live entries, most-used first.
-    Entries that never hit report [0]. *)
-
-val publish_freqs : unit -> unit
-(** Export {!all_freqs} through the labeled [solve_cache.entry_freq]
-    gauge family: one child per popularity rank ([rank="0"] is the
-    hottest entry, 8 ranks) plus [rank="other"] carrying the summed
-    tail; unused ranks are zeroed.  No-op under the [Noop] sink.
-    Call it from the serving loop whenever a scrape-fresh profile is
-    wanted. *)
 
 val clear : unit -> unit
 (** Drops every entry.  Cumulative counters ([hits], [misses],

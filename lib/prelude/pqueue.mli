@@ -1,56 +1,32 @@
-(** Polymorphic binary min-heap.
+(** Allocation-free [(time, server)] binary min-heap.
 
-    Used as the event queue of the discrete-event simulator and for
-    the copy-expiration events of the online Speculative Caching
-    algorithm.  All operations are the textbook [O(log n)] sift
-    operations; [peek]/[is_empty] are [O(1)]. *)
+    Two parallel arrays instead of boxed tuples, and direct accessors
+    instead of option-returning peek/pop, so the hot loops that use it
+    allocate only when the backing arrays grow.  Ordering is
+    lexicographic (time, then server), identical to [compare] on
+    [(float * int)] for non-NaN times.
 
-type 'a t
+    Used for the copy-expiration events of the online Speculative
+    Caching algorithm, the timer queue of the discrete-event simulator
+    (keyed on an arming stamp in place of a server) and Dijkstra's
+    frontier on the space-time graph (keyed on a vertex).  [push] and
+    [drop_min] are the textbook [O(log n)] sift operations; the
+    accessors are [O(1)]. *)
 
-val create : cmp:('a -> 'a -> int) -> 'a t
-(** [create ~cmp] makes an empty heap ordered by [cmp] (minimum
-    first). *)
+type t
 
-val length : 'a t -> int
-val is_empty : 'a t -> bool
+val create : unit -> t
+val length : t -> int
+val is_empty : t -> bool
 
-val push : 'a t -> 'a -> unit
+val push : t -> time:float -> server:int -> unit
+(** Amortised O(log n); grows the backing arrays by doubling. *)
 
-val peek : 'a t -> 'a option
-(** Smallest element, without removing it. *)
+val min_time : t -> float
+(** Time of the minimum entry.  @raise Invalid_argument when empty. *)
 
-val pop : 'a t -> 'a option
-(** Removes and returns the smallest element. *)
+val min_server : t -> int
+(** Server of the minimum entry.  @raise Invalid_argument when empty. *)
 
-val pop_exn : 'a t -> 'a
-(** @raise Invalid_argument on an empty heap. *)
-
-val clear : 'a t -> unit
-
-val to_sorted_list : 'a t -> 'a list
-(** Non-destructive: the heap contents in ascending order. *)
-
-(** Allocation-free (time, server) min-heap for hot loops: two
-    parallel arrays instead of boxed tuples, direct accessors instead
-    of option-returning peek/pop.  Ordering is lexicographic
-    (time, then server), identical to [compare] on [(float * int)]
-    for finite times. *)
-module Flat : sig
-  type t
-
-  val create : unit -> t
-  val length : t -> int
-  val is_empty : t -> bool
-
-  val push : t -> time:float -> server:int -> unit
-  (** Amortised O(log n); grows the backing arrays by doubling. *)
-
-  val min_time : t -> float
-  (** Time of the minimum entry.  @raise Invalid_argument when empty. *)
-
-  val min_server : t -> int
-  (** Server of the minimum entry.  @raise Invalid_argument when empty. *)
-
-  val drop_min : t -> unit
-  (** Removes the minimum entry.  @raise Invalid_argument when empty. *)
-end
+val drop_min : t -> unit
+(** Removes the minimum entry.  @raise Invalid_argument when empty. *)

@@ -1,5 +1,6 @@
 open Dcache_core
 module Obs = Dcache_obs.Obs
+module Pq = Dcache_prelude.Pqueue
 
 (* one span per simulated run; counters mirror the Metrics.t totals
    so end-of-run snapshots land in traces and bench JSON *)
@@ -55,8 +56,9 @@ type state = {
   mutable last_integration : float;
   mutable caches : Schedule.cache list;
   mutable transfers : Schedule.transfer list;
-  timers : (float * int * int) Dcache_prelude.Pqueue.t;  (* time, stamp, server *)
-  mutable timer_stamp : int;
+  timers : Pq.t;  (* keyed (time, stamp): ties in time pop in arming order *)
+  mutable timer_server : int array;  (* stamp -> armed server *)
+  mutable timer_stamp : int;  (* next stamp; stamps strictly increase *)
 }
 
 let integrate st time =
@@ -134,8 +136,15 @@ let apply st ~request_server ~served action =
   | Policy.Drop server -> remove_copy st server
   | Policy.Set_timer { server; at } ->
       if at < st.now then error "timer armed in the past (%g < %g)" at st.now;
-      st.timer_stamp <- st.timer_stamp + 1;
-      Dcache_prelude.Pqueue.push st.timers (at, st.timer_stamp, server)
+      let stamp = st.timer_stamp in
+      if stamp = Array.length st.timer_server then begin
+        let grown = Array.make (max 8 (2 * stamp)) 0 in
+        Array.blit st.timer_server 0 grown 0 stamp;
+        st.timer_server <- grown
+      end;
+      st.timer_server.(stamp) <- server;
+      st.timer_stamp <- stamp + 1;
+      Pq.push st.timers ~time:at ~server:stamp
 
 let run ?costs (module P : Policy.POLICY) model seq =
   Obs.spanned sp_run @@ fun () ->
@@ -160,7 +169,8 @@ let run ?costs (module P : Policy.POLICY) model seq =
       last_integration = 0.0;
       caches = [];
       transfers = [];
-      timers = Dcache_prelude.Pqueue.create ~cmp:compare;
+      timers = Pq.create ();
+      timer_server = [||];
       timer_stamp = 0;
     }
   in
@@ -179,14 +189,15 @@ let run ?costs (module P : Policy.POLICY) model seq =
   (* deliver timers strictly before [limit]; ties in time fire in
      arming order *)
   let rec deliver_timers limit =
-    match Dcache_prelude.Pqueue.peek st.timers with
-    | Some (at, _, server) when at < limit ->
-        ignore (Dcache_prelude.Pqueue.pop st.timers);
-        integrate st at;
-        st.now <- at;
-        apply_all ~request_server:None (P.on_timer policy (view st) ~server);
-        deliver_timers limit
-    | Some _ | None -> ()
+    if (not (Pq.is_empty st.timers)) && Pq.min_time st.timers < limit then begin
+      let at = Pq.min_time st.timers in
+      let server = st.timer_server.(Pq.min_server st.timers) in
+      Pq.drop_min st.timers;
+      integrate st at;
+      st.now <- at;
+      apply_all ~request_server:None (P.on_timer policy (view st) ~server);
+      deliver_timers limit
+    end
   in
   for i = 1 to n do
     let server = Sequence.server seq i and time = Sequence.time seq i in

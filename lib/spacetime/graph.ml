@@ -56,24 +56,22 @@ let dijkstra g ~src =
   let size = Array.length g.adjacency in
   let dist = Array.make size infinity in
   dist.(src) <- 0.0;
-  let queue = Dcache_prelude.Pqueue.create ~cmp:compare in
-  Dcache_prelude.Pqueue.push queue (0.0, src);
-  let rec loop () =
-    match Dcache_prelude.Pqueue.pop queue with
-    | None -> ()
-    | Some (d, v) ->
-        if d <= dist.(v) then
-          List.iter
-            (fun (u, w) ->
-              let cand = d +. w in
-              if cand < dist.(u) then begin
-                dist.(u) <- cand;
-                Dcache_prelude.Pqueue.push queue (cand, u)
-              end)
-            g.adjacency.(v);
-        loop ()
-  in
-  loop ();
+  let module Pq = Dcache_prelude.Pqueue in
+  let queue = Pq.create () in
+  Pq.push queue ~time:0.0 ~server:src;
+  while not (Pq.is_empty queue) do
+    let d = Pq.min_time queue and v = Pq.min_server queue in
+    Pq.drop_min queue;
+    if d <= dist.(v) then
+      List.iter
+        (fun (u, w) ->
+          let cand = d +. w in
+          if cand < dist.(u) then begin
+            dist.(u) <- cand;
+            Pq.push queue ~time:cand ~server:u
+          end)
+        g.adjacency.(v)
+  done;
   dist
 
 let request_vertex g col =

@@ -389,7 +389,11 @@ let serve_metrics_exports_audit_families () =
           "dcache_audit_bound_violations_total";
           "dcache_audit_prefix_ratio";
           "dcache_serve_sc_vs_opt";
-        ])
+          "dcache_serve_item_sc_vs_opt{item=\"item0\"}";
+        ];
+      (* the per-item optimum comes from the auditor; nothing re-solves
+         an item through the memo cache *)
+      Alcotest.(check bool) "no solve-cache samples" false (contains "dcache_solve_cache_" body))
 
 let suite =
   [

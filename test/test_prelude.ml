@@ -211,116 +211,66 @@ let stats_loglog_slope () =
 
 (* --------------------------------------------------------------- pqueue *)
 
-let pqueue_ordering () =
-  let h = Pqueue.create ~cmp:compare in
-  List.iter (Pqueue.push h) [ 5; 3; 8; 1; 9; 2; 7 ];
-  Alcotest.(check (list int)) "sorted drain" [ 1; 2; 3; 5; 7; 8; 9 ] (Pqueue.to_sorted_list h);
-  Alcotest.(check int) "length unchanged by to_sorted_list" 7 (Pqueue.length h)
-
-let pqueue_pop_order () =
-  let h = Pqueue.create ~cmp:compare in
-  List.iter (Pqueue.push h) [ 4; 2; 6 ];
-  Alcotest.(check (option int)) "peek" (Some 2) (Pqueue.peek h);
-  Alcotest.(check (option int)) "pop 2" (Some 2) (Pqueue.pop h);
-  Alcotest.(check (option int)) "pop 4" (Some 4) (Pqueue.pop h);
-  Alcotest.(check (option int)) "pop 6" (Some 6) (Pqueue.pop h);
-  Alcotest.(check (option int)) "empty" None (Pqueue.pop h)
+let pqueue_basics () =
+  let h = Pqueue.create () in
+  Alcotest.(check bool) "starts empty" true (Pqueue.is_empty h);
+  Pqueue.push h ~time:3.0 ~server:1;
+  Pqueue.push h ~time:1.0 ~server:2;
+  Pqueue.push h ~time:2.0 ~server:0;
+  Alcotest.(check int) "length" 3 (Pqueue.length h);
+  check_float "min time" 1.0 (Pqueue.min_time h);
+  Alcotest.(check int) "min server" 2 (Pqueue.min_server h);
+  Pqueue.drop_min h;
+  check_float "next time" 2.0 (Pqueue.min_time h);
+  Alcotest.(check int) "next server" 0 (Pqueue.min_server h);
+  (* equal times break ties by server, matching [compare] on tuples *)
+  Pqueue.push h ~time:2.0 ~server:5;
+  Alcotest.(check int) "tie keeps the smaller server" 0 (Pqueue.min_server h)
 
 let pqueue_empty () =
-  let h = Pqueue.create ~cmp:compare in
-  Alcotest.(check bool) "is_empty" true (Pqueue.is_empty h);
-  Alcotest.(check (option int)) "peek none" None (Pqueue.peek h);
-  Alcotest.check_raises "pop_exn" (Invalid_argument "Pqueue.pop_exn: empty heap") (fun () ->
-      ignore (Pqueue.pop_exn h))
+  let h = Pqueue.create () in
+  Alcotest.check_raises "min_time" (Invalid_argument "Pqueue.min_time: empty heap") (fun () ->
+      ignore (Pqueue.min_time h));
+  Alcotest.check_raises "min_server" (Invalid_argument "Pqueue.min_server: empty heap")
+    (fun () -> ignore (Pqueue.min_server h));
+  Alcotest.check_raises "drop_min" (Invalid_argument "Pqueue.drop_min: empty heap") (fun () ->
+      Pqueue.drop_min h)
 
-let pqueue_clear () =
-  let h = Pqueue.create ~cmp:compare in
-  List.iter (Pqueue.push h) [ 1; 2; 3 ];
-  Pqueue.clear h;
-  Alcotest.(check int) "cleared" 0 (Pqueue.length h)
+let pqueue_pop h =
+  let entry = (Pqueue.min_time h, Pqueue.min_server h) in
+  Pqueue.drop_min h;
+  entry
 
-let pqueue_heap_property =
-  qcheck ~count:200 "pqueue drains any int list sorted"
-    QCheck.(list int)
-    (fun xs ->
-      let h = Pqueue.create ~cmp:compare in
-      List.iter (Pqueue.push h) xs;
-      let rec drain acc = match Pqueue.pop h with None -> List.rev acc | Some x -> drain (x :: acc) in
-      drain [] = List.sort compare xs)
+(* the heap order is [compare] on (time, key) tuples *)
+let pqueue_drains_sorted =
+  qcheck ~count:200 "pqueue drains like List.sort"
+    QCheck.(list (pair (float_range 0.0 100.0) small_int))
+    (fun entries ->
+      let h = Pqueue.create () in
+      List.iter (fun (time, server) -> Pqueue.push h ~time ~server) entries;
+      let rec drain acc = if Pqueue.is_empty h then List.rev acc else drain (pqueue_pop h :: acc) in
+      drain [] = List.sort compare entries && Pqueue.length h = 0)
 
 let pqueue_interleaved =
   qcheck ~count:200 "pqueue peek is always the minimum under interleaving"
-    QCheck.(list (pair bool small_int))
+    QCheck.(list (pair bool (pair (float_range 0.0 10.0) small_int)))
     (fun ops ->
-      let h = Pqueue.create ~cmp:compare in
+      let h = Pqueue.create () in
       let model = ref [] (* kept sorted: a reference implementation *) in
       List.for_all
-        (fun (is_push, v) ->
+        (fun (is_push, ((time, server) as entry)) ->
           if is_push then begin
-            Pqueue.push h v;
-            model := List.sort compare (v :: !model);
+            Pqueue.push h ~time ~server;
+            model := List.sort compare (entry :: !model);
             true
           end
           else
-            match (Pqueue.pop h, !model) with
-            | None, [] -> true
-            | Some x, y :: rest ->
+            match !model with
+            | [] -> Pqueue.is_empty h
+            | least :: rest ->
                 model := rest;
-                x = y
-            | Some _, [] | None, _ :: _ -> false)
+                pqueue_pop h = least)
         ops)
-
-(* --------------------------------------------------------- pqueue.flat *)
-
-module Flat = Dcache_prelude.Pqueue.Flat
-
-let flat_basics () =
-  let h = Flat.create () in
-  Alcotest.(check bool) "starts empty" true (Flat.is_empty h);
-  Flat.push h ~time:3.0 ~server:1;
-  Flat.push h ~time:1.0 ~server:2;
-  Flat.push h ~time:2.0 ~server:0;
-  Alcotest.(check int) "length" 3 (Flat.length h);
-  check_float "min time" 1.0 (Flat.min_time h);
-  Alcotest.(check int) "min server" 2 (Flat.min_server h);
-  Flat.drop_min h;
-  check_float "next time" 2.0 (Flat.min_time h);
-  Alcotest.(check int) "next server" 0 (Flat.min_server h);
-  (* equal times break ties by server, matching [compare] on tuples *)
-  Flat.push h ~time:2.0 ~server:5;
-  Alcotest.(check int) "tie keeps the smaller server" 0 (Flat.min_server h)
-
-let flat_empty () =
-  let h = Flat.create () in
-  Alcotest.check_raises "min_time" (Invalid_argument "Pqueue.Flat.min_time: empty heap")
-    (fun () -> ignore (Flat.min_time h));
-  Alcotest.check_raises "min_server" (Invalid_argument "Pqueue.Flat.min_server: empty heap")
-    (fun () -> ignore (Flat.min_server h));
-  Alcotest.check_raises "drop_min" (Invalid_argument "Pqueue.Flat.drop_min: empty heap")
-    (fun () -> Flat.drop_min h)
-
-(* the whole point of [Flat]: same drain order as the generic heap
-   under [compare] on (time, server) tuples *)
-let flat_matches_generic =
-  qcheck ~count:200 "pqueue.flat drains like the tuple heap"
-    QCheck.(list (pair (float_range 0.0 100.0) small_int))
-    (fun entries ->
-      let flat = Flat.create () and generic = Pqueue.create ~cmp:compare in
-      List.iter
-        (fun (time, server) ->
-          Flat.push flat ~time ~server;
-          Pqueue.push generic (time, server))
-        entries;
-      let rec drain acc =
-        if Flat.is_empty flat then List.rev acc
-        else begin
-          let entry = (Flat.min_time flat, Flat.min_server flat) in
-          Flat.drop_min flat;
-          drain (entry :: acc)
-        end
-      in
-      drain [] = (let rec d acc = match Pqueue.pop generic with None -> List.rev acc | Some e -> d (e :: acc) in d [])
-      && Flat.length flat = 0)
 
 (* ------------------------------------------------------------- interval *)
 
@@ -487,15 +437,10 @@ let suite =
     case "stats: compensated summation" stats_kahan;
     case "stats: linear fit" stats_linear_fit;
     case "stats: log-log exponent" stats_loglog_slope;
-    case "pqueue: sorted drain" pqueue_ordering;
-    case "pqueue: pop order" pqueue_pop_order;
-    case "pqueue: empty behaviour" pqueue_empty;
-    case "pqueue: clear" pqueue_clear;
-    pqueue_heap_property;
+    case "pqueue: push/min/drop and tie-break" pqueue_basics;
+    case "pqueue: empty accessors raise" pqueue_empty;
+    pqueue_drains_sorted;
     pqueue_interleaved;
-    case "pqueue.flat: push/min/drop and tie-break" flat_basics;
-    case "pqueue.flat: empty accessors raise" flat_empty;
-    flat_matches_generic;
     case "interval: construction and membership" interval_basics;
     case "interval: overlap semantics" interval_overlap;
     case "interval: merge and measure" interval_merge_and_measure;

@@ -158,6 +158,37 @@ let engine_rejects_past_timer () =
     (try ignore (Sim.Engine.run (module Past_timer) unit seq); false
      with Sim.Engine.Engine_error _ -> true)
 
+(* Equal-time timers fire in arming order, not server order: the
+   policy arms every server in [arm] at t = 1 and records the
+   [on_timer] calls. *)
+let engine_timer_ties_fire_in_arming_order () =
+  let arm = ref [] and fired = ref [] in
+  let module Timer_log = struct
+    type t = unit
+
+    let name = "timer-recorder"
+    let create _ _ = ()
+    let init () _ = List.map (fun server -> Sim.Policy.Set_timer { server; at = 1.0 }) !arm
+
+    let on_request () (view : Sim.Policy.view) ~index:_ ~server =
+      if view.holds server then [ Sim.Policy.Serve_from_cache ]
+      else [ Sim.Policy.Fetch_and_discard { src = 0 } ]
+
+    let on_timer () _ ~server =
+      fired := server :: !fired;
+      []
+  end in
+  let order servers =
+    arm := servers;
+    fired := [];
+    ignore (Sim.Engine.run (module Timer_log) unit (Sequence.of_list ~m:12 [ (1, 2.0) ]));
+    List.rev !fired
+  in
+  Alcotest.(check (list int)) "arming order" [ 3; 1 ] (order [ 3; 1 ]);
+  (* past the stamp table's first growth *)
+  let descending = List.init 12 (fun i -> 11 - i) in
+  Alcotest.(check (list int)) "twelve ties" descending (order descending)
+
 (* --------------------------------------------------------- heterogeneous *)
 
 let homogeneous_costs_roundtrip () =
@@ -212,6 +243,7 @@ let suite =
     case "metrics: peak copies" metrics_peak_copies_cache_everywhere;
     case "engine: rejects invariant-violating policies" engine_rejects_bad_policies;
     case "engine: rejects timers armed in the past" engine_rejects_past_timer;
+    case "engine: equal-time timers fire in arming order" engine_timer_ties_fire_in_arming_order;
     case "engine: heterogeneous costs respected" heterogeneous_costs_respected;
     heterogeneous_sc_still_feasible;
   ]
