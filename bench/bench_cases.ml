@@ -41,10 +41,11 @@ let streaming_push_test () =
    boxed, ~2-3 words).  The budget below leaves room for that and
    nothing else — the pre-arena implementation spent >= m + 2 words per
    push on [Array.copy] and boxed accumulators and blows straight
-   through it. *)
+   through it.  The cost-only [Streaming_cost.push] the auditor runs
+   is held to the same budget, measured the same way. *)
 let max_words_per_push = 4.0
 
-let words_per_push () =
+let measure_words_per_push ~create ~push =
   let m = 8 in
   let n_warm = 4096 and n_measure = 16384 in
   let rng = Dcache_prelude.Rng.create 2024 in
@@ -56,16 +57,22 @@ let words_per_push () =
     clock := !clock +. Dcache_prelude.Rng.float_in rng 0.1 1.0;
     times.(i) <- !clock
   done;
-  let stream = Streaming_dp.create model ~m in
+  let stream = create model ~m in
   for i = 0 to n_warm - 1 do
-    Streaming_dp.push stream ~server:servers.(i) ~time:times.(i)
+    push stream ~server:servers.(i) ~time:times.(i)
   done;
   let before = Gc.minor_words () in
   for i = n_warm to total - 1 do
-    Streaming_dp.push stream ~server:servers.(i) ~time:times.(i)
+    push stream ~server:servers.(i) ~time:times.(i)
   done;
   let after = Gc.minor_words () in
   (after -. before) /. float_of_int n_measure
+
+let words_per_push () =
+  measure_words_per_push ~create:Streaming_dp.create ~push:Streaming_dp.push
+
+let cost_words_per_push () =
+  measure_words_per_push ~create:Streaming_cost.create ~push:Streaming_cost.push
 
 (* --------------------------------------- reconstruction word budget *)
 

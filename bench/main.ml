@@ -32,8 +32,8 @@
    counter totals in an optional "counters" field.
 
    JSON runs also probe the minor-word cost of [Streaming_dp.push]
-   directly and fail when it exceeds the zero-allocation budget
-   (Bench_cases.max_words_per_push). *)
+   and [Streaming_cost.push] directly and fail when either exceeds the
+   zero-allocation budget (Bench_cases.max_words_per_push). *)
 
 open Bechamel
 open Dcache_core
@@ -196,14 +196,18 @@ let print_group (_, test) =
     (Bench_cases.measure test)
 
 let check_words_budget () =
+  let check label words =
+    Printf.printf "%s: %.3f minor words/request (budget %.1f)\n" label words
+      Bench_cases.max_words_per_push;
+    if words > Bench_cases.max_words_per_push then begin
+      Printf.eprintf "bench: %s allocates %.3f minor words/request, budget is %.1f\n" label words
+        Bench_cases.max_words_per_push;
+      exit 1
+    end
+  in
+  check "Streaming_cost.push" (Bench_cases.cost_words_per_push ());
   let words = Bench_cases.words_per_push () in
-  Printf.printf "streaming push: %.3f minor words/request (budget %.1f)\n" words
-    Bench_cases.max_words_per_push;
-  if words > Bench_cases.max_words_per_push then begin
-    Printf.eprintf "bench: Streaming_dp.push allocates %.3f minor words/request, budget is %.1f\n"
-      words Bench_cases.max_words_per_push;
-    exit 1
-  end;
+  check "Streaming_dp.push" words;
   words
 
 let write_json ~quick path =

@@ -7,7 +7,8 @@
 
    - the fresh ns/op exceeds 1.25x the baseline's for the
      "extensions" / "streaming push x1000 m=6" entry,
-   - [Streaming_dp.push] allocates more than
+   - [Streaming_dp.push] or the auditor's cost-only
+     [Streaming_cost.push] allocates more than
      [Bench_cases.max_words_per_push] minor words per request,
    - warm (memoised) schedule reconstruction allocates more than
      [Bench_cases.max_reconstruct_words] minor words per run,
@@ -115,6 +116,12 @@ let () =
   Printf.printf "fresh (min/3): %12.1f ns/op   (%.3f minor words/request)\n%!" fresh_ns words;
   if words > Bench_cases.max_words_per_push then
     fail_perf "hot path allocates %.3f minor words/request (budget %.1f)" words
+      Bench_cases.max_words_per_push;
+  let cost_words = Bench_cases.cost_words_per_push () in
+  Printf.printf "cost-only push: %11.3f minor words/request (budget %.1f)\n%!" cost_words
+    Bench_cases.max_words_per_push;
+  if cost_words > Bench_cases.max_words_per_push then
+    fail_perf "cost-only push allocates %.3f minor words/request (budget %.1f)" cost_words
       Bench_cases.max_words_per_push;
   let limit = base.Bench_json.ns_per_run *. regression_factor in
   if fresh_ns > limit then

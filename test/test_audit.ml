@@ -230,6 +230,36 @@ let pipeline_midstream_readbacks () =
   Alcotest.check_raises "finish is consuming"
     (Invalid_argument "Audit.flush: auditor already flushed") (fun () -> ignore (Auditor.finish t))
 
+(* The auditor's optimum kernel is the cost-only Streaming_cost; on
+   the bundled traces (as [dcache audit] reads them, default model)
+   its readback must carry Streaming_dp.cost's exact bits at every
+   prefix. *)
+let auditor_opt_matches_streaming_dp () =
+  let model = Cost_model.make ~mu:1.0 ~lambda:1.0 () in
+  List.iter
+    (fun (file, m) ->
+      let seq =
+        match Dcache_workload.Trace_io.read ~filename:(Filename.concat "data" file) ~m with
+        | Ok seq -> seq
+        | Error e -> Alcotest.failf "%s: %s" file e
+      in
+      let t = Auditor.create model ~m and dp = Streaming_dp.create model ~m in
+      for i = 1 to Sequence.n seq do
+        let server = Sequence.server seq i and time = Sequence.time seq i in
+        Auditor.feed t ~server ~time;
+        Streaming_dp.push dp ~server ~time;
+        if
+          not
+            (Int64.equal
+               (Int64.bits_of_float (Auditor.opt_cost_so_far t))
+               (Int64.bits_of_float (Streaming_dp.cost dp)))
+        then
+          Alcotest.failf "%s prefix %d: auditor opt %.17g, Streaming_dp %.17g" file i
+            (Auditor.opt_cost_so_far t) (Streaming_dp.cost dp)
+      done;
+      Alcotest.(check bool) (file ^ " is non-trivial") true (Sequence.n seq > 100))
+    [ ("15041.events", 6); ("17018.events", 4) ]
+
 (* ------------------------------------------------ metric plumbing *)
 
 let audit_metrics_recorded () =
@@ -407,6 +437,8 @@ let suite =
     case "auditor: adversarial traces stay within Theorem 3" adversaries_stay_within_bound;
     case "auditor: 4x inflation provokes witnessed violations" inflation_provokes_witness;
     case "auditor: mid-stream readbacks agree" pipeline_midstream_readbacks;
+    case "auditor: opt readback equals Streaming_dp bit for bit on the bundled traces"
+      auditor_opt_matches_streaming_dp;
     case "audit: metric families record the replay" audit_metrics_recorded;
     case "audit: readbacks identical at widths 1 and 4" width_independent_readbacks;
     case "serve-metrics: exports audit families" serve_metrics_exports_audit_families;

@@ -1,7 +1,7 @@
 (* Tests for the streaming (incremental) solver: prefix optima and
    packed arenas against the batch and full-scan solvers, mid-stream
-   reconstruction, validation, and metamorphic properties of the
-   optimum. *)
+   reconstruction, validation, the cost-only kernel's bit-identity and
+   bounded state, and metamorphic properties of the optimum. *)
 
 open Dcache_core
 open Helpers
@@ -277,6 +277,137 @@ let exchange_local_optimality =
           | _ -> true)
         (Schedule.caches sched))
 
+(* ---------------------------------------------- cost-only kernel *)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Pushes [seq] into both kernels and checks [Streaming_cost.cost]
+   against [Streaming_dp.cost] bit for bit at every prefix. *)
+let cost_bits_match model seq =
+  let m = Sequence.m seq in
+  let full = Streaming_dp.create model ~m and lean = Streaming_cost.create model ~m in
+  let ok = ref (same_bits (Streaming_dp.cost full) (Streaming_cost.cost lean)) in
+  for i = 1 to Sequence.n seq do
+    let server = Sequence.server seq i and time = Sequence.time seq i in
+    Streaming_dp.push full ~server ~time;
+    Streaming_cost.push lean ~server ~time;
+    if not (same_bits (Streaming_dp.cost full) (Streaming_cost.cost lean)) then ok := false
+  done;
+  !ok && Streaming_cost.n lean = Sequence.n seq
+
+let cost_kernel_bit_identical =
+  qcheck ~count:300 "cost kernel: every prefix cost has Streaming_dp's exact bits"
+    (nonempty_problem_arbitrary ~with_upload:true ())
+    (fun { model; seq } -> cost_bits_match model seq)
+
+(* Gaps mix near-ties (1e-9), ordinary spacing and gaps long enough
+   that every copy expires, so both the pivot scan and the step
+   branch win often. *)
+let mixed_gap_instance ~seed ~m ~n =
+  let rng = Dcache_prelude.Rng.create seed in
+  let clock = ref 0.0 in
+  let requests =
+    Array.init n (fun _ ->
+        let gap =
+          match Dcache_prelude.Rng.int rng 4 with
+          | 0 -> 1e-9
+          | 1 -> Dcache_prelude.Rng.float_in rng 5.0 50.0
+          | _ -> Dcache_prelude.Rng.float_in rng 0.01 1.0
+        in
+        clock := !clock +. gap;
+        Request.make ~server:(Dcache_prelude.Rng.int rng m) ~time:!clock)
+  in
+  Sequence.create_exn ~m requests
+
+let sweep_models =
+  [
+    ("mu=1 lambda=2", Cost_model.make ~mu:1.0 ~lambda:2.0 ());
+    ("upload < lambda", Cost_model.make ~upload:0.7 ~mu:0.5 ~lambda:3.0 ());
+    ("cheap transfers", Cost_model.make ~mu:4.0 ~lambda:0.1 ());
+  ]
+
+let cost_kernel_sweep () =
+  List.iter
+    (fun (m, n) ->
+      List.iter
+        (fun (label, model) ->
+          let seq = mixed_gap_instance ~seed:((1000 * m) + n) ~m ~n in
+          if not (cost_bits_match model seq) then
+            Alcotest.failf "m=%d n=%d (%s): cost differs from Streaming_dp" m n label)
+        sweep_models)
+    [ (1, 2_000); (2, 10_000); (3, 10_000); (8, 10_000); (64, 10_000); (128, 4_000) ]
+
+let cost_kernel_matches_naive () =
+  let seq = mixed_gap_instance ~seed:7 ~m:5 ~n:600 in
+  List.iter
+    (fun (label, model) ->
+      let c, _ = Dcache_baselines.Naive_dp.solve_vectors model seq in
+      let lean = Streaming_cost.create model ~m:5 in
+      for i = 1 to Sequence.n seq do
+        Streaming_cost.push lean ~server:(Sequence.server seq i) ~time:(Sequence.time seq i);
+        if i mod 75 = 0 || i = Sequence.n seq then
+          check_float ~eps:1e-6 (Printf.sprintf "%s: C(%d)" label i) c.(i)
+            (Streaming_cost.cost lean)
+      done)
+    sweep_models
+
+(* The retained-bytes gate made exact: the state of an m = 64 kernel
+   is the same size after 10^5 and after 10^6 pushes. *)
+let cost_kernel_state_bounded () =
+  let m = 64 in
+  let lean = Streaming_cost.create (Cost_model.make ~mu:1.0 ~lambda:2.0 ()) ~m in
+  let rng = Dcache_prelude.Rng.create 64 in
+  let clock = ref 0.0 in
+  let push_upto n =
+    for _ = Streaming_cost.n lean + 1 to n do
+      clock := !clock +. Dcache_prelude.Rng.float_in rng 0.001 0.1;
+      Streaming_cost.push lean ~server:(Dcache_prelude.Rng.int rng m) ~time:!clock
+    done
+  in
+  push_upto 100_000;
+  let words_1e5 = Obj.reachable_words (Obj.repr lean) in
+  push_upto 1_000_000;
+  let words_1e6 = Obj.reachable_words (Obj.repr lean) in
+  Alcotest.(check int) "pushed" 1_000_000 (Streaming_cost.n lean);
+  Alcotest.(check int) "reachable words after 1e5 and 1e6 pushes" words_1e5 words_1e6
+
+let cost_kernel_input_contract () =
+  let lean = Streaming_cost.create Cost_model.unit ~m:3 in
+  Streaming_cost.push lean ~server:1 ~time:1.0;
+  Streaming_cost.push lean ~server:2 ~time:2.0;
+  let cost = Streaming_cost.cost lean in
+  List.iter
+    (fun (label, server, time) ->
+      (match Streaming_cost.push lean ~server ~time with
+      | () -> Alcotest.failf "%s: accepted" label
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check int) (label ^ ": n unchanged") 2 (Streaming_cost.n lean);
+      Alcotest.(check bool) (label ^ ": cost unchanged") true
+        (same_bits cost (Streaming_cost.cost lean)))
+    [
+      ("server = m", 3, 3.0);
+      ("server < 0", -1, 3.0);
+      ("nan time", 0, nan);
+      ("infinite time", 0, infinity);
+      ("equal time", 0, 2.0);
+      ("earlier time", 0, 1.5);
+    ];
+  (* the rejected pushes left a kernel that still agrees with the full DP *)
+  let full = Streaming_dp.create Cost_model.unit ~m:3 in
+  List.iter
+    (fun (server, time) ->
+      Streaming_dp.push full ~server ~time;
+      if time > 2.0 then Streaming_cost.push lean ~server ~time)
+    [ (1, 1.0); (2, 2.0); (0, 3.0); (1, 3.5) ];
+  Alcotest.(check bool) "still bit-identical" true
+    (same_bits (Streaming_dp.cost full) (Streaming_cost.cost lean));
+  List.iter
+    (fun m ->
+      match Streaming_cost.create Cost_model.unit ~m with
+      | _ -> Alcotest.failf "m = %d accepted" m
+      | exception Invalid_argument _ -> ())
+    [ 0; -1 ]
+
 let suite =
   [
     prefix_optima_match_batch;
@@ -288,6 +419,11 @@ let suite =
     to_sequence_roundtrip;
     case "streaming: push validation" push_validation;
     case "streaming: create validation" create_validation;
+    cost_kernel_bit_identical;
+    case "cost kernel: mixed-gap sweep equals Streaming_dp bit for bit" cost_kernel_sweep;
+    case "cost kernel: prefix costs equal Naive_dp" cost_kernel_matches_naive;
+    case "cost kernel: state does not grow with the stream" cost_kernel_state_bounded;
+    case "cost kernel: rejected pushes leave the state untouched" cost_kernel_input_contract;
     insertion_monotone;
     time_scale_invariance;
     server_relabel_invariance;
