@@ -35,14 +35,14 @@ let streaming_push_test () =
          done;
          ignore (Streaming_dp.cost stream)))
 
-(* The flat-arena [Streaming_dp.push] allocates no per-request boxed
-   arrays; the only minor words left are the caller-side boxing of the
-   [~time] float argument (floats cross a non-inlined call boundary
-   boxed, ~2-3 words).  The budget below leaves room for that and
-   nothing else — the pre-arena implementation spent >= m + 2 words per
-   push on [Array.copy] and boxed accumulators and blows straight
-   through it.  The cost-only [Streaming_cost.push] the auditor runs
-   is held to the same budget, measured the same way. *)
+(* [Streaming_dp.push] allocates no per-request boxed values; the
+   only minor words left are the caller-side boxing of the [~time]
+   float argument (floats cross a non-inlined call boundary boxed,
+   ~2-3 words).  The budget below leaves room for that and nothing
+   else — an earlier implementation spent >= m + 2 words per push
+   on [Array.copy] and boxed accumulators and blows straight through
+   it.  The cost-only [Streaming_dp.Cost.push] the auditor runs is
+   held to the same budget, measured the same way. *)
 let max_words_per_push = 4.0
 
 let measure_words_per_push ~create ~push =
@@ -72,7 +72,7 @@ let words_per_push () =
   measure_words_per_push ~create:Streaming_dp.create ~push:Streaming_dp.push
 
 let cost_words_per_push () =
-  measure_words_per_push ~create:Streaming_cost.create ~push:Streaming_cost.push
+  measure_words_per_push ~create:Streaming_dp.Cost.create ~push:Streaming_dp.Cost.push
 
 (* --------------------------------------- reconstruction word budget *)
 

@@ -32,7 +32,7 @@
    counter totals in an optional "counters" field.
 
    JSON runs also probe the minor-word cost of [Streaming_dp.push]
-   and [Streaming_cost.push] directly and fail when either exceeds the
+   and [Streaming_dp.Cost.push] directly and fail when either exceeds the
    zero-allocation budget (Bench_cases.max_words_per_push). *)
 
 open Bechamel
@@ -205,7 +205,7 @@ let check_words_budget () =
       exit 1
     end
   in
-  check "Streaming_cost.push" (Bench_cases.cost_words_per_push ());
+  check "Streaming_dp.Cost.push" (Bench_cases.cost_words_per_push ());
   let words = Bench_cases.words_per_push () in
   check "Streaming_dp.push" words;
   words

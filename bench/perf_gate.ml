@@ -8,7 +8,7 @@
    - the fresh ns/op exceeds 1.25x the baseline's for the
      "extensions" / "streaming push x1000 m=6" entry,
    - [Streaming_dp.push] or the auditor's cost-only
-     [Streaming_cost.push] allocates more than
+     [Streaming_dp.Cost.push] allocates more than
      [Bench_cases.max_words_per_push] minor words per request,
    - warm (memoised) schedule reconstruction allocates more than
      [Bench_cases.max_reconstruct_words] minor words per run,

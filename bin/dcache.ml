@@ -367,7 +367,7 @@ let stream_cmd =
 (* ----------------------------------------------------------------- audit *)
 
 (* Streaming online-vs-offline replay: every request goes through
-   Online_sc.Incremental, Streaming_cost.push and the Audit ratio /
+   Online_sc.Incremental, Streaming_dp.Cost.push and the Audit ratio /
    regret / Theorem-3 monitor — no batch re-solving anywhere. *)
 
 let audit_cmd =

@@ -1,7 +1,8 @@
 (** The paper's fast optimal offline algorithm (Section IV).
 
     Computes the minimum total service cost and an optimal schedule in
-    [O(mn)] time and space using the coupled recurrences (2) and (5):
+    [O(mn)] time and [O(n + m^2)] space using the coupled recurrences
+    (2) and (5):
 
     - [C(i)] — optimal cost of serving [r_0 .. r_i]
       ({!val-c}, Definition 6):
@@ -12,11 +13,13 @@
       [D(i) = min(C(p(i)) + mu*sigma_i + B_{i-1} - B_{p(i)},
                   min_{kappa} D(kappa) + mu*sigma_i + B_{i-1} - B_kappa)].
 
-    The pivot candidates [kappa] are found in [O(1)] per server via
-    the pre-scanned matrix [A] of Theorem 2: for each server [j] the
-    candidate is the request on [j] whose cache interval
-    [\[t_{p(kappa)}, t_kappa\]] spans [t_{p(i)}] — at most one per
-    server, so [|pi(i)| <= m] candidates per request.
+    The pivot candidates [kappa] are found in [O(1)] per server: for
+    each server [j] the candidate is the request on [j] whose cache
+    interval [\[t_{p(kappa)}, t_kappa\]] spans [t_{p(i)}] — at most
+    one per server, so [|pi(i)| <= m] candidates per request.  They
+    are the row of Theorem 2's matrix [A] at [p(i)]; [A] itself is
+    never built, only the rows a later scan can still read (one live
+    row per server, see {!Streaming_dp}).
 
     When the cost model enables uploads ([beta < infinity]) the
     algorithm treats [min(lambda, beta)] as the effective cost of
@@ -26,7 +29,7 @@
 type t
 
 val solve : Cost_model.t -> Sequence.t -> t
-(** Runs the sweep.  [O(mn)] time and space.
+(** Runs the sweep.  [O(mn)] time, [O(n + m^2)] space.
     @raise Invalid_argument if the model/sequence pair is invalid
     ({!Streaming_dp.create}'s and [push]'s conditions). *)
 
@@ -56,8 +59,8 @@ val running_bounds : t -> float array
     (unreachable for a {!solve} result). *)
 
 val schedule : t -> Schedule.t
-(** Reconstructs an optimal schedule by backtracking the stored
-    argmins ([O(n)] per call).  The result is feasible
+(** Reconstructs an optimal schedule by backtracking the logged
+    decisions ([O(n)] on the first call, memoised after).  The result is feasible
     ({!Schedule.validate}), in standard form, and its
     {!Schedule.cost} equals {!cost} up to rounding. *)
 

@@ -61,7 +61,7 @@ type run = {
 
 (** Request-at-a-time SC.  {!val-run} is a loop over this module; the
     streaming auditor ({!Dcache_sim.Auditor}) feeds it in lockstep
-    with [Streaming_cost.push] to watch the online-vs-offline ratio
+    with [Streaming_dp.Cost.push] to watch the online-vs-offline ratio
     live.  The state machine is identical to {!val-run} — feeding the
     requests of a sequence in order and calling {!Incremental.finish}
     at its horizon returns the same {!type-run} record, field for

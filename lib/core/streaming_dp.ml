@@ -1,44 +1,203 @@
-(* Packed-arena layout: the per-request *index* columns live in int32
-   bigarrays instead of ~13 parallel [int array]s — a stride-4 packed
-   row [server; prev; c_choice; d_choice] per request in [idx], the
-   successor column in [nxt], and the pre-scan matrix A in a row-major
-   [cap * m] arena — while the float columns stay flat [float array]s
-   (already unboxed).  Request indices always fit int32 (grow refuses
-   past 2^30 rows), so the index state for a request is 16 bytes and a
-   whole arena row is m*4 bytes: the pivot scan walks a quarter of the
-   cache lines the old int-array layout touched.
+(* One kernel, two readers.
 
-   [nxt] is offset by one with a permanent [-1] sentinel in slot 0
-   ([nxt.{i+1}] = successor of r_i), so the pivot scan needs no
-   emptiness branch; and because [nxt.{q+1} <- i] is written only
-   *after* the scan, every successor the scan reads is a strict
-   predecessor of [i] — the scan body is a single [kappa >= 0] test.
+   [Cost] runs the recurrences of Section IV on "live rows".  The
+   pivot scan for D(i) on server s reads the row of matrix A at
+   q = p(i), s's latest request, and from that row, per server k, only
+   D and B of the first request on k after q.  So server j's live row
+   is the row of A it will read at its next request: the row of q_j,
+   j's latest request.  For it we keep C(q_j), B(q_j) and t(q_j) in
+   the [row_*] columns, and in [slot] (row-major, m x m pairs,
+   interleaved) the pair (D(kappa), B(kappa)) for kappa = the first
+   request on server k after q_j.  A slot with no such request yet (or
+   one that will never be read, because k had no request at or before
+   q_j) holds (infinity, 0.0): its candidate D + base - B is then
+   infinite and never beats the finite D_prev seed, so the scan needs
+   no emptiness test.
 
-   A push appends by copying the previous arena row with a manual
-   int32 loop ([Array1.sub]/[blit] would allocate proxy blocks) and
-   patching one column.  On this (non-flambda) toolchain the
-   [Int32.to_int (Array1.unsafe_get ...)] / [unsafe_set ... (Int32.of_int ...)]
-   pairs compile to unboxed loads/stores (Cmm box/unbox fusion), so
-   the hot path still performs no per-request boxed allocation; the
-   bench harness asserts the ~2 [Gc.minor_words]/push contract (see
-   bench/bench_cases.ml and docs/PERFORMANCE.md).
+   A push of r_i on s with q = last.(s) >= 0 resolves column s in
+   every row j with q < q_j: those rows saw s's latest request before
+   their own, so r_i is the kappa they were waiting for.  Rows with
+   q_j < q were resolved by an earlier request on s, and row s itself
+   is reset to all-empty for r_i, whose successors do not exist yet.
+   Testing q < q_j row by row is a coin-flip branch, so the servers
+   are kept in recency order instead ([order], by decreasing q_j):
+   the waiting rows are exactly those ranked ahead of s, and the same
+   loop that resolves them shifts them back one place as s moves to
+   the front.  Servers with no request yet sit at the tail, behind
+   every live row.  Interleaving D and B puts each resolved pair on
+   one cache line of its (strided) row.
+
+   The scalars of the last request (its time, C, B, D) live in the
+   flat [sc] array rather than in mutable float fields: a float stored
+   into a field of this mixed record would be boxed on every push.
+
+   [t] is a [Cost.t] plus an append-only log of what each push
+   decided: server, p(i), t, C, D, B and the pivot code of D(i).
+   Everything else is derived from it with the same float operations
+   the kernel used (sigma_i and b_i from t and p(i); the C choice from
+   C(i) = D(i)), so the backward walk of [schedule] needs O(n) state,
+   not the O(mn) matrix A.  The kernel reports which column won the
+   scan; [succ], a table of request indices laid out like [slot] and
+   resolved by the same rows, turns that column into kappa.  Keeping
+   it out of the kernel spares [Cost.push] a store per resolved row.
+   Both live in this one compilation unit: the dev profile compiles
+   with -opaque and this toolchain has no flambda, so a float read
+   through a function of another module is boxed, whereas [push]
+   reads [sc] directly.
 
    [schedule] accumulates the walk into preallocated flat buffers
    (grown geometrically, no per-piece list churn until the final
-   [Schedule.make]) and memoises the result keyed on [len]: the solver
-   state is append-only, so the prefix length fully determines the
-   schedule and repeated calls between pushes return the same
-   physically-equal value without re-walking. *)
+   [Schedule.make]) and memoises the result keyed on the prefix
+   length: the log is append-only, so repeated calls between pushes
+   return the same physically-equal value without re-walking. *)
 
 module Obs = Dcache_obs.Obs
-module A1 = Bigarray.Array1
 
-type i32 = (int32, Bigarray.int32_elt, Bigarray.c_layout) A1.t
+(* pivot codes of D(i): a pivot kappa >= 1 (a strict successor, never
+   the boundary request 0), or one of these *)
+let d_undefined = -2 (* first request on its server: D(i) = infinity *)
 
-let i32_make len fill : i32 =
-  let a = A1.create Bigarray.int32 Bigarray.c_layout len in
-  A1.fill a (Int32.of_int fill);
-  a
+let d_prev = -1 (* the C(p(i)) seed won *)
+
+module Cost = struct
+  let c_push = Obs.counter "streaming_cost.push"
+
+  (* [sc] slots *)
+  let k_time = 0 (* t(n) *)
+
+  let k_c = 1 (* C(n) *)
+
+  let k_b = 2 (* B(n) *)
+
+  let k_d = 3 (* D(n), the running minimum of its scan *)
+
+  type t = {
+    model : Cost_model.t;
+    m : int;
+    lam_eff : float;
+    mutable n : int;
+    mutable prev : int; (* p(n), -1 on a server's first request *)
+    (* D(n)'s scan: the winning column, or d_prev / d_undefined *)
+    mutable pivot : int;
+    (* rows the last push resolved: ranks 1 .. resolved of [order] *)
+    mutable resolved : int;
+    last : int array; (* q_j: latest request on server j, -1 = none *)
+    order : int array; (* servers by decreasing q_j *)
+    rank : int array; (* rank.(order.(k)) = k *)
+    row_c : float array; (* C(q_j) *)
+    row_b : float array; (* B(q_j) *)
+    row_t : float array; (* t(q_j) *)
+    (* slot.(2(j*m + k)) = D(first request on k after q_j), and B of
+       that request in the next cell *)
+    slot : float array;
+    sc : float array;
+  }
+
+  let create model ~m =
+    if m < 1 then invalid_arg "Streaming_dp.create: m must be at least 1";
+    let last = Array.make m (-1) in
+    (* boundary request r_0 = (s^1, 0) with C = B = 0 *)
+    last.(0) <- 0;
+    {
+      model;
+      m;
+      lam_eff = Float.min model.Cost_model.lambda model.Cost_model.upload;
+      n = 0;
+      prev = -1;
+      pivot = d_undefined;
+      resolved = 0;
+      last;
+      order = Array.init m Fun.id;
+      rank = Array.init m Fun.id;
+      row_c = Array.make m 0.0;
+      row_b = Array.make m 0.0;
+      row_t = Array.make m 0.0;
+      slot = Array.init (2 * m * m) (fun k -> if k land 1 = 0 then infinity else 0.0);
+      sc = [| 0.0; 0.0; 0.0; infinity |];
+    }
+
+  let n t = t.n
+  let cost t = t.sc.(k_c)
+
+  (* One request through the recurrences, unprobed: [push] below and
+     the logging [push] of the enclosing module each add their own
+     probes. *)
+  let step t ~server ~time =
+    let sc = t.sc in
+    if server < 0 || server >= t.m then invalid_arg "Streaming_dp.push: server out of range";
+    if not (Float.is_finite time) then invalid_arg "Streaming_dp.push: non-finite time";
+    if time <= sc.(k_time) then invalid_arg "Streaming_dp.push: times must strictly increase";
+    let m = t.m in
+    let mu = t.model.Cost_model.mu in
+    let q = t.last.(server) in
+    let sigma = if q >= 0 then time -. t.row_t.(server) else infinity in
+    let bi = Float.min t.lam_eff (mu *. sigma) in
+    let b_prev = sc.(k_b) in
+    (* --- D(i): seed C(p(i)), then one candidate per server from the
+       live row of [server], in server order; a strict [<] keeps the
+       first of equal candidates *)
+    sc.(k_d) <- infinity;
+    (* a local, not the [pivot] field: a field store in the loop costs
+       ~10% of a push at m = 64 *)
+    let pivot = ref d_undefined in
+    if q >= 0 then begin
+      let base = (mu *. sigma) +. b_prev in
+      sc.(k_d) <- t.row_c.(server) +. base -. t.row_b.(server);
+      pivot := d_prev;
+      let row = server * m in
+      for j = 0 to m - 1 do
+        let cand = t.slot.(2 * (row + j)) +. base -. t.slot.((2 * (row + j)) + 1) in
+        if cand < sc.(k_d) then begin
+          sc.(k_d) <- cand;
+          pivot := j
+        end
+      done
+    end;
+    t.pivot <- !pivot;
+    let d_value = sc.(k_d) in
+    let b_i = b_prev +. bi in
+    (* --- C(i): on a tie the cache branch wins, so C(i) = D(i)
+       exactly when it did --- *)
+    let step = sc.(k_c) +. (mu *. (time -. sc.(k_time))) +. t.lam_eff in
+    if d_value <= step then sc.(k_c) <- d_value else sc.(k_c) <- step;
+    (* --- resolve column [server] in the rows waiting on it, the ones
+       ranked ahead of it, while moving [server] to the front.  On a
+       first request (q < 0) no row is waiting: none saw [server]. --- *)
+    t.resolved <- (if q >= 0 then t.rank.(server) else 0);
+    for k = t.rank.(server) - 1 downto 0 do
+      let j = t.order.(k) in
+      if q >= 0 then begin
+        let cell = (j * m) + server in
+        t.slot.(2 * cell) <- d_value;
+        t.slot.((2 * cell) + 1) <- b_i
+      end;
+      t.order.(k + 1) <- j;
+      t.rank.(j) <- k + 1
+    done;
+    t.order.(0) <- server;
+    t.rank.(server) <- 0;
+    (* --- r_i becomes [server]'s live row, with no successors yet --- *)
+    let row = 2 * server * m in
+    for j = 0 to m - 1 do
+      t.slot.(row + (2 * j)) <- infinity;
+      t.slot.(row + (2 * j) + 1) <- 0.0
+    done;
+    let i = t.n + 1 in
+    t.prev <- q;
+    t.last.(server) <- i;
+    t.row_c.(server) <- sc.(k_c);
+    t.row_b.(server) <- b_i;
+    t.row_t.(server) <- time;
+    sc.(k_time) <- time;
+    sc.(k_b) <- b_i;
+    t.n <- i
+  [@@hot]
+
+  let push t ~server ~time =
+    step t ~server ~time;
+    if Obs.probe () then Obs.incr c_push
+  [@@hot]
+end
 
 (* Probe ids are registered once at module init; on the hot path the
    whole probe block sits behind a single [Obs.probe ()] load+branch,
@@ -46,65 +205,28 @@ let i32_make len fill : i32 =
    asserts 0 extra minor words and bounds the time). *)
 let c_push = Obs.counter "streaming_dp.push"
 let c_grow = Obs.counter "streaming_dp.grow"
-let c_pivot_slots = Obs.counter "streaming_dp.pivot_slots"
 let c_sched_memo = Obs.counter "streaming_dp.schedule_memo"
-let g_arena_cap = Obs.gauge "streaming_dp.arena_cap"
 let sp_grow = Obs.span_name "streaming_dp.grow"
 let sp_schedule = Obs.span_name "streaming_dp.schedule"
 let sp_push = Obs.span_name "streaming_dp.push"
 
-type c_choice = C_base | C_step | C_cache
-
-type d_choice = D_undefined | D_prev | D_pivot of int
-
-(* d_choice is stored as an int32 slot: [d_undefined] / [d_prev] /
-   a pivot index kappa >= 1 (kappa is a strict successor, never 0). *)
-let d_undefined = -2
-
-let d_prev = -1
-
-(* c_choice as an int32 slot *)
-let c_base = 0
-
-let c_step = 1
-
-let c_cache = 2
-
-(* packed idx row: stride-4 int32 slots per request *)
-let stride = 4
-
-let k_server = 0
-
-let k_prev = 1
-
-let k_cc = 2
-
-let k_dc = 3
-
 type t = {
-  model : Cost_model.t;
-  m : int;
-  lam_eff : float;
-  mutable cap : int; (* rows allocated *)
-  mutable len : int; (* rows used, = n + 1 with the boundary r_0 *)
-  (* packed per-request index rows: idx.{i*4 ..} = [server; prev; c_choice; d_choice] *)
-  mutable idx : i32;
-  (* successor on the same server, offset by one: nxt.{i+1} = successor
-     of r_i (-1 = none yet); nxt.{0} is a permanent -1 sentinel so an
-     empty arena slot (-1) indexes it branch-free *)
-  mutable nxt : i32;
-  mutable arena : i32; (* row-major A: arena.{i*m + j} = last request on s^j after r_i *)
-  (* per-request float columns, index 0 = the boundary request r_0 *)
+  kernel : Cost.t;
+  (* succ.(j*m + k) = the first request on server k after q_j: the
+     kappa behind slot (j, k) of the kernel *)
+  succ : int array;
+  mutable cap : int; (* log rows allocated; rows 0 .. n are used *)
+  (* the log, index 0 = the boundary request r_0 *)
+  mutable server : int array;
+  mutable prev : int array; (* p(i), -1 on a server's first request *)
+  mutable pivot : int array; (* pivot code of D(i) *)
   mutable time : float array;
-  mutable sigma : float array;
-  mutable b : float array;
-  mutable big_b : float array;
   mutable c : float array;
   mutable d : float array;
-  last_on : int array; (* latest request per server *)
-  (* reconstruction memo: state is append-only, so [len] is a complete
-     key for the schedule of the current prefix *)
-  mutable sched_len : int;
+  mutable big_b : float array;
+  (* reconstruction memo: the log is append-only, so the prefix length
+     is a complete key for the schedule *)
+  mutable sched_n : int;
   mutable sched : Schedule.t;
   (* preallocated walk buffers (caches: server/from/to; transfers:
      src/dst/time with src = -1 encoding From_external) *)
@@ -120,59 +242,42 @@ type t = {
 let initial_cap = 64
 
 let create model ~m =
-  if m < 1 then invalid_arg "Streaming_dp.create: m must be at least 1";
+  let kernel = Cost.create model ~m in
   let cap = initial_cap in
-  let t =
-    {
-      model;
-      m;
-      lam_eff = Float.min model.Cost_model.lambda model.Cost_model.upload;
-      cap;
-      len = 0;
-      idx = i32_make (cap * stride) 0;
-      nxt = i32_make (cap + 1) (-1);
-      arena = i32_make (cap * m) (-1);
-      time = Array.make cap 0.0;
-      sigma = Array.make cap 0.0;
-      b = Array.make cap 0.0;
-      big_b = Array.make cap 0.0;
-      c = Array.make cap 0.0;
-      d = Array.make cap infinity;
-      last_on = Array.make m (-1);
-      sched_len = 1;
-      sched = Schedule.make ~caches:[] ~transfers:[];
-      pb_cap = 0;
-      pb_server = [||];
-      pb_from = [||];
-      pb_to = [||];
-      tb_src = [||];
-      tb_dst = [||];
-      tb_time = [||];
-    }
-  in
-  (* boundary request r_0 = (s^1, 0); the fills already wrote the
-     defaults (idx row 0: server 0, c_base), only the non-zero
-     encodings need writing *)
-  A1.set t.idx k_prev (-1l);
-  A1.set t.idx k_dc (Int32.of_int d_undefined);
-  t.last_on.(0) <- 0;
-  A1.set t.arena 0 0l (* row 0: column 0 = r_0, the rest stay -1 *);
-  t.len <- 1;
-  t
+  let server = Array.make cap 0 and prev = Array.make cap 0 and pivot = Array.make cap 0 in
+  let d = Array.make cap 0.0 in
+  (* boundary request r_0 = (s^1, 0): C = B = 0, no D *)
+  prev.(0) <- -1;
+  pivot.(0) <- d_undefined;
+  d.(0) <- infinity;
+  {
+    kernel;
+    succ = Array.make (m * m) 0;
+    cap;
+    server;
+    prev;
+    pivot;
+    time = Array.make cap 0.0;
+    c = Array.make cap 0.0;
+    d;
+    big_b = Array.make cap 0.0;
+    sched_n = 0;
+    sched = Schedule.make ~caches:[] ~transfers:[];
+    pb_cap = 0;
+    pb_server = [||];
+    pb_from = [||];
+    pb_to = [||];
+    tb_src = [||];
+    tb_dst = [||];
+    tb_time = [||];
+  }
 
-let n t = t.len - 1
-let m t = t.m
-let model t = t.model
-
-(* decoded read of one packed idx slot; not used on the push hot path
-   (there the unboxing pattern is written inline — without flambda a
-   helper call is not guaranteed to fuse the int32 box away) *)
-let ix t i k = Int32.to_int (A1.unsafe_get t.idx ((i * stride) + k))
+let n t = t.kernel.Cost.n
 
 let check t i name =
-  if i < 0 || i >= t.len then invalid_arg ("Streaming_dp." ^ name ^ ": index out of bounds")
+  if i < 0 || i > n t then invalid_arg ("Streaming_dp." ^ name ^ ": index out of bounds")
 
-let cost t = t.c.(t.len - 1)
+let cost t = t.c.(n t)
 
 let cost_at t i =
   check t i "cost_at";
@@ -182,167 +287,81 @@ let semi_cost_at t i =
   check t i "semi_cost_at";
   t.d.(i)
 
+(* b_i exactly as [Cost.step] computed it *)
 let marginal_at t i =
   check t i "marginal_at";
-  t.b.(i)
+  if i = 0 then 0.0
+  else
+    let p = t.prev.(i) in
+    let sigma = if p >= 0 then t.time.(i) -. t.time.(p) else infinity in
+    Float.min t.kernel.Cost.lam_eff (t.kernel.Cost.model.Cost_model.mu *. sigma)
 
 let running_at t i =
   check t i "running_at";
   t.big_b.(i)
 
-let server_at t i =
-  check t i "server_at";
-  ix t i k_server
-
-let time_at t i =
-  check t i "time_at";
-  t.time.(i)
-
 let pivot_at t i =
   check t i "pivot_at";
-  let v = ix t i k_dc in
+  let v = t.pivot.(i) in
   if v >= 0 then Some v else None
 
-(* Doubles every column and the arena.  Not on the hot path proper:
-   amortised over pushes, and the blocks it allocates are major-heap
-   sized long before n is interesting.  The int32 copies are manual
-   loops so no proxy blocks are created. *)
+(* Doubles every log column.  Amortised over pushes; the blocks it
+   allocates are major-heap sized long before n is interesting. *)
 let grow t =
   Obs.spanned sp_grow @@ fun () ->
-  let ncap = 2 * t.cap in
-  (* every index column stores request indices as int32; 2^30 rows is
-     the guard line (far below Int32.max_int, far above any workload) *)
-  if ncap > 0x4000_0000 then invalid_arg "Streaming_dp: capacity exceeds int32 index range";
-  let idx = i32_make (ncap * stride) 0 in
-  for k = 0 to (t.len * stride) - 1 do
-    A1.unsafe_set idx k (A1.unsafe_get t.idx k)
-  done;
-  let nxt = i32_make (ncap + 1) (-1) in
-  for k = 0 to t.len do
-    A1.unsafe_set nxt k (A1.unsafe_get t.nxt k)
-  done;
-  let arena = i32_make (ncap * t.m) (-1) in
-  for k = 0 to (t.len * t.m) - 1 do
-    A1.unsafe_set arena k (A1.unsafe_get t.arena k)
-  done;
-  t.idx <- idx;
-  t.nxt <- nxt;
-  t.arena <- arena;
-  let grow_float a fill =
-    let b = Array.make ncap fill in
-    Array.blit a 0 b 0 t.len;
+  let cap = 2 * t.cap in
+  let extend a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 t.cap;
     b
   in
-  t.time <- grow_float t.time 0.0;
-  t.sigma <- grow_float t.sigma 0.0;
-  t.b <- grow_float t.b 0.0;
-  t.big_b <- grow_float t.big_b 0.0;
-  t.c <- grow_float t.c 0.0;
-  t.d <- grow_float t.d infinity;
-  t.cap <- ncap;
-  Obs.incr c_grow;
-  Obs.set_gauge g_arena_cap (float_of_int (ncap * t.m))
+  t.server <- extend t.server 0;
+  t.prev <- extend t.prev 0;
+  t.pivot <- extend t.pivot 0;
+  t.time <- extend t.time 0.0;
+  t.c <- extend t.c 0.0;
+  t.d <- extend t.d 0.0;
+  t.big_b <- extend t.big_b 0.0;
+  t.cap <- cap;
+  Obs.incr c_grow
 
 let push t ~server ~time =
   (* hand-rolled span timing: [Obs.spanned] would allocate a closure,
      and this path's Noop budget is exactly 0 words.  Two probe loads
      per push (entry and exit) — bench_cases.probes_per_push. *)
   let t0 = if Obs.probe () then Obs.now_ns () else min_int in
-  if server < 0 || server >= t.m then invalid_arg "Streaming_dp.push: server out of range";
-  if not (Float.is_finite time) then invalid_arg "Streaming_dp.push: non-finite time";
-  if time <= t.time.(t.len - 1) then
-    invalid_arg "Streaming_dp.push: times must strictly increase";
-  if t.len = t.cap then grow t;
-  let mu = t.model.Cost_model.mu in
-  let i = t.len in
-  let q = t.last_on.(server) in
-  let sigma = if q >= 0 then time -. t.time.(q) else infinity in
-  let bi = Float.min t.lam_eff (mu *. sigma) in
-  let base_i = i * stride in
-  A1.unsafe_set t.idx (base_i + k_server) (Int32.of_int server);
-  A1.unsafe_set t.idx (base_i + k_prev) (Int32.of_int q);
-  A1.unsafe_set t.idx (base_i + k_dc) (Int32.of_int d_undefined);
-  A1.unsafe_set t.nxt (i + 1) (-1l);
-  t.time.(i) <- time;
-  t.sigma.(i) <- sigma;
-  t.b.(i) <- bi;
-  t.big_b.(i) <- t.big_b.(i - 1) +. bi;
-  t.d.(i) <- infinity;
-  (* --- D(i): branch-predictable pivot scan over the packed arena row
-     of r_q.  The loop body is one test: an empty column reads the
-     nxt.{0} sentinel, the server's own column reads nxt.{q+1} (still
-     -1 — it is written only after the scan), and every stored
-     successor is < i by construction, so the old [j <> server],
-     [last >= 0], [kappa < i] and [d < infinity] guards are gone (an
-     infinite D(kappa) yields an infinite candidate, which never beats
-     the finite D_prev seed). *)
-  if q >= 0 then begin
-    let base = (mu *. sigma) +. t.big_b.(i - 1) in
-    t.d.(i) <- t.c.(q) +. base -. t.big_b.(q);
-    A1.unsafe_set t.idx (base_i + k_dc) (Int32.of_int d_prev);
-    let row = q * t.m in
-    for j = 0 to t.m - 1 do
-      let last = Int32.to_int (A1.unsafe_get t.arena (row + j)) in
-      let kappa = Int32.to_int (A1.unsafe_get t.nxt (last + 1)) in
-      if kappa >= 0 then begin
-        (* dcache-lint: allow R3 — kappa < i <= len: nxt only ever stores already-pushed indices *)
-        let cand = Array.unsafe_get t.d kappa +. base -. Array.unsafe_get t.big_b kappa in
-        (* dcache-lint: allow R3 — i < cap: grow ran above when len hit cap *)
-        if cand < Array.unsafe_get t.d i then begin
-          Array.unsafe_set t.d i cand;
-          A1.unsafe_set t.idx (base_i + k_dc) (Int32.of_int kappa)
-        end
-      end
-    done;
-    A1.unsafe_set t.nxt (q + 1) (Int32.of_int i)
-  end;
-  let d_value = t.d.(i) in
-  (* --- C(i) --- *)
-  let step = t.c.(i - 1) +. (mu *. (time -. t.time.(i - 1))) +. t.lam_eff in
-  if d_value <= step then begin
-    t.c.(i) <- d_value;
-    A1.unsafe_set t.idx (base_i + k_cc) (Int32.of_int c_cache)
-  end
-  else begin
-    t.c.(i) <- step;
-    A1.unsafe_set t.idx (base_i + k_cc) (Int32.of_int c_step)
-  end;
-  t.last_on.(server) <- i;
-  (* arena row i = arena row i-1 with this server's column patched;
-     manual int32 loop — [Array1.sub]/[blit] would allocate proxies *)
-  let src = (i - 1) * t.m and dst = i * t.m in
-  for j = 0 to t.m - 1 do
-    A1.unsafe_set t.arena (dst + j) (A1.unsafe_get t.arena (src + j))
+  let k = t.kernel in
+  Cost.step k ~server ~time;
+  let i = k.Cost.n in
+  if i = t.cap then grow t;
+  let sc = k.Cost.sc in
+  t.server.(i) <- server;
+  t.prev.(i) <- k.Cost.prev;
+  let m = k.Cost.m and col = k.Cost.pivot in
+  t.pivot.(i) <- (if col >= 0 then t.succ.((server * m) + col) else col);
+  (* r_i is the kappa of column [server] in the rows the step resolved,
+     which it has just shifted to ranks 1 .. resolved *)
+  for r = 1 to k.Cost.resolved do
+    t.succ.((k.Cost.order.(r) * m) + server) <- i
   done;
-  A1.unsafe_set t.arena (dst + server) (Int32.of_int i);
-  t.len <- i + 1;
-  (* one probe check per push; the counter math inside is a constant
-     (the branch-free pivot scan visits all m columns whenever q >= 0) *)
+  t.time.(i) <- sc.(Cost.k_time);
+  t.c.(i) <- sc.(Cost.k_c);
+  t.d.(i) <- sc.(Cost.k_d);
+  t.big_b.(i) <- sc.(Cost.k_b);
   if Obs.probe () then begin
     Obs.incr c_push;
-    Obs.add c_pivot_slots (if q >= 0 then t.m else 0);
     if t0 <> min_int then Obs.observe_span_ns sp_push (Obs.now_ns () - t0)
   end
 [@@hot]
 
-(* decoded views of the choice slots, for the reconstruction walk *)
-let c_choice_at t i =
-  let v = ix t i k_cc in
-  if v = c_base then C_base else if v = c_step then C_step else C_cache
-
-let d_choice_at t i =
-  let v = ix t i k_dc in
-  if v = d_undefined then D_undefined else if v = d_prev then D_prev else D_pivot v
-
-(* -- schedule reconstruction (identical walk to the batch solver) ------- *)
-
-type walk = Walk_c of int | Walk_d of int
+(* -- schedule reconstruction ------------------------------------------ *)
 
 (* the walk emits at most one cache piece and one transfer piece per
-   request index, so [len] slots per buffer always suffice *)
+   request index, so n + 1 slots per buffer always suffice *)
 let ensure_path_cap t =
-  if t.pb_cap < t.len then begin
-    let ncap = max t.len (max initial_cap (2 * t.pb_cap)) in
+  let len = n t + 1 in
+  if t.pb_cap < len then begin
+    let ncap = max len (max initial_cap (2 * t.pb_cap)) in
     t.pb_server <- Array.make ncap 0;
     t.pb_from <- Array.make ncap 0.0;
     t.pb_to <- Array.make ncap 0.0;
@@ -353,13 +372,14 @@ let ensure_path_cap t =
   end
 
 let schedule t =
-  if t.sched_len = t.len then begin
+  if t.sched_n = n t then begin
     Obs.incr c_sched_memo;
     t.sched
   end
   else
     Obs.spanned sp_schedule @@ fun () ->
-    let mu = t.model.Cost_model.mu in
+    let model = t.kernel.Cost.model in
+    let mu = model.Cost_model.mu and lam_eff = t.kernel.Cost.lam_eff in
     ensure_path_cap t;
     let nc = ref 0 and nt = ref 0 in
     let add_cache server from_time to_time =
@@ -373,7 +393,7 @@ let schedule t =
     in
     (* upload-vs-lambda is a property of the model, not of the walk
        step: decide the transfer source once, outside the loop *)
-    let external_src = t.model.Cost_model.upload < t.model.Cost_model.lambda in
+    let external_src = model.Cost_model.upload < model.Cost_model.lambda in
     let add_transfer src_server dst time =
       let k = !nt in
       t.tb_src.(k) <- (if external_src then -1 else src_server);
@@ -383,41 +403,40 @@ let schedule t =
     in
     let serve_marginal source lo hi =
       for h = lo to hi do
-        let sh = ix t h k_server in
-        if t.lam_eff <= mu *. t.sigma.(h) then add_transfer source sh t.time.(h)
-        else add_cache sh t.time.(ix t h k_prev) t.time.(h)
+        let sh = t.server.(h) and ph = t.prev.(h) in
+        (* sigma_h as [Cost.step] computed it *)
+        let sigma = if ph >= 0 then t.time.(h) -. t.time.(ph) else infinity in
+        if lam_eff <= mu *. sigma then add_transfer source sh t.time.(h)
+        else add_cache sh t.time.(ph) t.time.(h)
       done
     in
-    let state = ref (Walk_c (n t)) in
-    let continue = ref true in
-    while !continue do
-      match !state with
-      | Walk_c 0 -> continue := false
-      | Walk_c i -> (
-          match c_choice_at t i with
-          | C_cache -> state := Walk_d i
-          (* same-server step: the cache branch mathematically ties or
-             wins; avoid a degenerate self-transfer *)
-          | C_step when ix t (i - 1) k_server = ix t i k_server -> state := Walk_d i
-          | C_step ->
-              let prev = i - 1 in
-              add_cache (ix t prev k_server) t.time.(prev) t.time.(i);
-              add_transfer (ix t prev k_server) (ix t i k_server) t.time.(i);
-              state := Walk_c prev
-          | C_base -> assert false)
-      | Walk_d i -> (
-          let q = ix t i k_prev in
-          assert (q >= 0);
-          add_cache (ix t i k_server) t.time.(q) t.time.(i);
-          match d_choice_at t i with
-          | D_prev ->
-              serve_marginal (ix t i k_server) (q + 1) (i - 1);
-              state := Walk_c q
-          | D_pivot kappa ->
-              serve_marginal (ix t i k_server) (kappa + 1) (i - 1);
-              state := Walk_d kappa
-          | D_undefined -> assert false)
-    done;
+    (* [walk_c i]: the walk from C(i); [walk_d i]: from D(i), where
+       r_i is served by its own cache *)
+    let rec walk_c i =
+      if i > 0 then
+        (* C(i) = D(i) bit for bit exactly when the cache branch won;
+           on a same-server step that branch mathematically ties or
+           wins, so take it to avoid a degenerate self-transfer *)
+        if t.c.(i) = t.d.(i) || t.server.(i - 1) = t.server.(i) then walk_d i
+        else begin
+          add_cache t.server.(i - 1) t.time.(i - 1) t.time.(i);
+          add_transfer t.server.(i - 1) t.server.(i) t.time.(i);
+          walk_c (i - 1)
+        end
+    and walk_d i =
+      let q = t.prev.(i) and pivot = t.pivot.(i) in
+      assert (q >= 0 && pivot <> d_undefined);
+      add_cache t.server.(i) t.time.(q) t.time.(i);
+      if pivot = d_prev then begin
+        serve_marginal t.server.(i) (q + 1) (i - 1);
+        walk_c q
+      end
+      else begin
+        serve_marginal t.server.(i) (pivot + 1) (i - 1);
+        walk_d pivot
+      end
+    in
+    walk_c (n t);
     let caches = ref [] in
     for k = !nc - 1 downto 0 do
       caches :=
@@ -433,10 +452,9 @@ let schedule t =
     done;
     let s = Schedule.make ~caches:!caches ~transfers:!transfers in
     t.sched <- s;
-    t.sched_len <- t.len;
+    t.sched_n <- n t;
     s
 
 let to_sequence t =
-  let count = n t in
-  Sequence.create_exn ~m:t.m
-    (Array.init count (fun i -> { Request.server = ix t (i + 1) k_server; time = t.time.(i + 1) }))
+  Sequence.create_exn ~m:t.kernel.Cost.m
+    (Array.init (n t) (fun i -> { Request.server = t.server.(i + 1); time = t.time.(i + 1) }))

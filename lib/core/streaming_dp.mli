@@ -8,9 +8,43 @@
     exact prefix optima in [O(m)] amortised time per request instead
     of re-running the batch solver.
 
+    Matrix [A] of Theorem 2 is never built.  The pivot scan for [D(i)]
+    reads only the row of [A] at [p(i)], and from it, per server, [D]
+    and [B] of one request; the rows a later scan can still read are
+    the {e live rows}, one per server (the row of its latest request).
+    {!Cost} keeps exactly those, [O(m^2)] state whatever the stream
+    length.  {!t} runs the same kernel and appends each request's
+    decision to an [O(n)] log, which is all schedule reconstruction
+    walks.
+
     {!Offline_dp} is a thin wrapper over this module, so both share
     one implementation of the recurrences and of schedule
     reconstruction. *)
+
+(** The optimum alone, in constant memory: what a caller that never
+    reconstructs a schedule (the online-vs-offline auditor) needs.
+    Its [cost] equals [Streaming_dp.cost] of a {!t} fed the same
+    requests, bit for bit, at every prefix. *)
+module Cost : sig
+  type t
+
+  val create : Cost_model.t -> m:int -> t
+  (** Empty instance: the item sits on server [0] at time [0].
+      @raise Invalid_argument if [m < 1]. *)
+
+  val push : t -> server:int -> time:float -> unit
+  (** Appends the next request.  [O(m)] time, no extra space.  A
+      rejected push leaves the state untouched.
+      @raise Invalid_argument if the server is out of range or the
+      time is not finite or does not strictly exceed the previous
+      request's. *)
+
+  val n : t -> int
+  (** Requests pushed so far. *)
+
+  val cost : t -> float
+  (** [C(n)]: optimal cost of serving everything pushed so far. *)
+end
 
 type t
 
@@ -19,16 +53,13 @@ val create : Cost_model.t -> m:int -> t
     @raise Invalid_argument if [m < 1]. *)
 
 val push : t -> server:int -> time:float -> unit
-(** Appends the next request.  [O(m)] time and extra space.
+(** Appends the next request.  [O(m)] time, [O(1)] amortised extra
+    space.  A rejected push leaves the state untouched.
     @raise Invalid_argument if the server is out of range or the time
-    does not strictly exceed the previous request's. *)
+    is not finite or does not strictly exceed the previous request's. *)
 
 val n : t -> int
 (** Requests pushed so far. *)
-
-val m : t -> int
-
-val model : t -> Cost_model.t
 
 val cost : t -> float
 (** [C(n)]: optimal cost of serving everything pushed so far. *)
@@ -53,12 +84,6 @@ val running_at : t -> int -> float
 val pivot_at : t -> int -> int option
 (** The pivot [kappa] chosen for [D(i)], when Lemma 4 won.
     @raise Invalid_argument when [i] is out of range. *)
-
-val server_at : t -> int -> int
-(** @raise Invalid_argument when the index is out of range. *)
-
-val time_at : t -> int -> float
-(** @raise Invalid_argument when the index is out of range. *)
 
 val schedule : t -> Schedule.t
 (** Optimal schedule for the current prefix, by backtracking.  [O(n)]

@@ -20,7 +20,7 @@
     The module is solver-agnostic by design ([dcache_obs] sits below
     [dcache_core]): it never runs a policy, it only watches cost
     pairs.  [Dcache_sim.Auditor] wires it to [Online_sc.Incremental]
-    and [Streaming_cost.push]; [dcache audit] and [dcache serve-metrics]
+    and [Streaming_dp.Cost.push]; [dcache audit] and [dcache serve-metrics]
     report through it.  All probes ride the standard {!Obs} gating:
     under the [Noop] sink an [observe] does the arithmetic but
     touches no metric cell and allocates nothing. *)

@@ -3,7 +3,7 @@ module Audit = Dcache_obs.Audit
 
 type t = {
   inc : Online_sc.Incremental.t;
-  opt : Streaming_cost.t;
+  opt : Streaming_dp.Cost.t;
   audit : Audit.t;
   inflate : float;
   on_window : (Audit.window -> unit) option;
@@ -25,7 +25,7 @@ let create ?window_size ?bound ?epsilon ?witness_capacity ?item ?epoch_size ?(in
   if not (inflate > 0.0) then invalid_arg "Auditor.create: inflate must be positive";
   {
     inc = Online_sc.Incremental.create ?epoch_size model ~m;
-    opt = Streaming_cost.create model ~m;
+    opt = Streaming_dp.Cost.create model ~m;
     audit = Audit.create ?window_size ?bound ?epsilon ?witness_capacity ?item ();
     inflate;
     on_window;
@@ -39,21 +39,21 @@ let fire_window t closed =
 
 let feed t ~server ~time =
   Online_sc.Incremental.feed t.inc ~server ~time;
-  Streaming_cost.push t.opt ~server ~time;
+  Streaming_dp.Cost.push t.opt ~server ~time;
   let online = t.inflate *. Online_sc.Incremental.cost_so_far t.inc in
-  let opt = Streaming_cost.cost t.opt in
+  let opt = Streaming_dp.Cost.cost t.opt in
   let closed = Audit.observe t.audit ~online ~opt in
   fire_window t closed
 
 let audit t = t.audit
 let online_cost_so_far t = Online_sc.Incremental.cost_so_far t.inc
-let opt_cost_so_far t = Streaming_cost.cost t.opt
+let opt_cost_so_far t = Streaming_dp.Cost.cost t.opt
 
 let finish t =
   let closed = Audit.flush t.audit in
   fire_window t closed;
   let run = Online_sc.Incremental.finish t.inc in
-  let opt_cost = Streaming_cost.cost t.opt in
+  let opt_cost = Streaming_dp.Cost.cost t.opt in
   {
     requests = Audit.n t.audit;
     online_cost = run.Online_sc.total_cost;

@@ -1,11 +1,11 @@
 (** The streaming online-vs-offline audit pipeline.
 
     Wires the three streaming pieces together, one request at a time:
-    [Online_sc.Incremental] (the online policy), [Streaming_cost]
+    [Online_sc.Incremental] (the online policy), [Streaming_dp.Cost]
     (exact offline prefix optima, cost only) and [Dcache_obs.Audit]
     (ratio / regret / Theorem-3 bound telemetry).  Each {!feed} costs
     one [Incremental.feed] ([O(log n)] amortised), one
-    [Streaming_cost.push] ([O(m)] time) and an [O(1)] [Audit.observe]
+    [Streaming_dp.Cost.push] ([O(m)] time) and an [O(1)] [Audit.observe]
     — no re-solving, ever.  The optimum kernel keeps [O(m^2)] state
     that does not grow with the stream; it gives [Streaming_dp.cost]
     bit for bit but cannot reconstruct a schedule.
@@ -66,7 +66,7 @@ val online_cost_so_far : t -> float
 (** Uninflated [Incremental.cost_so_far]. *)
 
 val opt_cost_so_far : t -> float
-(** [Streaming_cost.cost] (= [Streaming_dp.cost]) of the fed prefix. *)
+(** [Streaming_dp.Cost.cost] (= [Streaming_dp.cost]) of the fed prefix. *)
 
 val finish : t -> report
 (** Flush the final partial window, close the online run at the last

@@ -71,6 +71,21 @@ let nonempty_problem_arbitrary ?(max_m = 6) ?(max_n = 18) ?with_upload () =
   in
   QCheck.make ~print:problem_print gen
 
+(* Large instances for the O(mn) kernels: n requests with gaps in
+   [0.01, 0.6] on m servers, seeded by (n, m); [large_size_arbitrary]
+   draws n <= 10^4 and m <= 128. *)
+let large_instance ~n ~m =
+  let rng = Dcache_prelude.Rng.create (n + (131 * m)) in
+  let clock = ref 0.0 in
+  let requests =
+    Array.init n (fun _ ->
+        clock := !clock +. Dcache_prelude.Rng.float_in rng 0.01 0.6;
+        Request.make ~server:(Dcache_prelude.Rng.int rng m) ~time:!clock)
+  in
+  Sequence.create_exn ~m requests
+
+let large_size_arbitrary = QCheck.(pair (int_range 1_000 10_000) (int_range 2 128))
+
 let qcheck ?(count = 300) name arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
 

@@ -230,7 +230,7 @@ let pipeline_midstream_readbacks () =
   Alcotest.check_raises "finish is consuming"
     (Invalid_argument "Audit.flush: auditor already flushed") (fun () -> ignore (Auditor.finish t))
 
-(* The auditor's optimum kernel is the cost-only Streaming_cost; on
+(* The auditor's optimum kernel is the cost-only Streaming_dp.Cost; on
    the bundled traces (as [dcache audit] reads them, default model)
    its readback must carry Streaming_dp.cost's exact bits at every
    prefix. *)

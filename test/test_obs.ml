@@ -668,6 +668,73 @@ let bench_json_roundtrip () =
       Alcotest.(check (list (pair string int))) "counters default to []" [] r3.Bench_json.counters;
       Alcotest.(check int) "quantiles default to []" 0 (List.length r3.Bench_json.quantiles)
 
+(* ------------------------------------------------- metric catalog *)
+
+(* docs/OBSERVABILITY.md's "What is instrumented" table names every
+   metric the libraries register and nothing else.  A labeled family
+   has cells only once a child is resolved, so each family's layer is
+   driven once first, under a recording sink; labeled children count
+   under their family's base name.  Names this binary registers for
+   its own tests ("test.*") and the runtime-phase spans the GC bridge
+   names at run time ("gc.<phase>", documented with the bridge) are
+   left out. *)
+let base_name n = match String.index_opt n '{' with Some k -> String.sub n 0 k | None -> n
+
+let documented_metrics () =
+  let doc = In_channel.with_open_bin "../docs/OBSERVABILITY.md" In_channel.input_all in
+  let rec table_rows in_section acc = function
+    | [] -> List.rev acc
+    | line :: rest ->
+        if String.starts_with ~prefix:"## " line then
+          table_rows (line = "## What is instrumented") acc rest
+        else if in_section && String.starts_with ~prefix:"| `" line then
+          table_rows in_section (line :: acc) rest
+        else table_rows in_section acc rest
+  in
+  let is_metric_name n =
+    String.contains n '.'
+    && String.for_all
+         (fun ch -> (ch >= 'a' && ch <= 'z') || (ch >= '0' && ch <= '9') || ch = '_' || ch = '.')
+         n
+  in
+  table_rows false [] (String.split_on_char '\n' doc)
+  |> List.concat_map (fun row ->
+         (* the Spans and Counters columns; code spans are the odd
+            pieces between backticks *)
+         match String.split_on_char '|' row with
+         | _ :: _layer :: spans :: counters :: _ ->
+             List.filteri (fun k _ -> k land 1 = 1) (String.split_on_char '`' (spans ^ counters))
+         | _ -> [])
+  |> List.map base_name |> List.filter is_metric_name |> List.sort_uniq compare
+
+let registered_metrics () =
+  let open Dcache_core in
+  (* children are resolved inside probe-gated blocks *)
+  with_recording @@ fun _ ->
+  let model = Cost_model.make ~mu:1.0 ~lambda:2.0 () in
+  let seq = Sequence.of_list ~m:2 [ (1, 0.5); (0, 1.0); (1, 1.5) ] in
+  ignore (Dcache_sim.Engine.run (module Dcache_sim.Sc_policy) model seq);
+  ignore
+    (Dcache_multi.Multi_item.plan model ~m:2 [ Dcache_multi.Multi_item.item "catalog" [ (1, 0.5) ] ]);
+  ignore (Dcache_obs.Audit.create ~item:"catalog" ());
+  let owned n = not (String.starts_with ~prefix:"test." n || String.starts_with ~prefix:"gc." n) in
+  List.concat
+    [
+      List.map fst (Obs.counter_totals ());
+      List.map fst (Obs.gauge_values ());
+      List.map fst (Obs.span_durations ());
+      List.map fst (Obs.histogram_dump ());
+    ]
+  |> List.map base_name |> List.filter owned |> List.sort_uniq compare
+
+let metric_catalog_matches_docs () =
+  let documented = documented_metrics () and registered = registered_metrics () in
+  let missing from names = List.filter (fun n -> not (List.mem n from)) names in
+  Alcotest.(check (list string))
+    "registered but not in the table" [] (missing documented registered);
+  Alcotest.(check (list string))
+    "in the table but never registered" [] (missing registered documented)
+
 let suite =
   [
     case "obs: Noop probes are dead" noop_probes_are_dead;
@@ -692,4 +759,5 @@ let suite =
     case "obs: injected events land in the trace" injected_events_in_trace;
     case "obs: runtime bridge records GC spans" runtime_bridge_gc_spans;
     case "obs: bench JSON round-trips counters and quantiles" bench_json_roundtrip;
+    case "obs: metric catalog matches docs/OBSERVABILITY.md" metric_catalog_matches_docs;
   ]

@@ -40,6 +40,47 @@ let fig6_pivots () =
   Alcotest.(check (option int)) "D(4) anchored" None (Offline_dp.pivot_of r 4);
   Alcotest.(check (option int)) "D(6) anchored" None (Offline_dp.pivot_of r 6)
 
+(* Every pivot the solver reports is a Lemma 4 pivot: kappa is the
+   first request on its server after p(i), and D(i) is exactly the
+   candidate built from it; without a pivot D(i) is exactly the
+   C(p(i)) seed.  Both recomputed here from the returned vectors and
+   the sequence, in the solver's operation order, and compared bit
+   for bit. *)
+let pivots_valid model seq =
+  let r = Offline_dp.solve model seq in
+  let c = Offline_dp.c r and d = Offline_dp.d r and big_b = Offline_dp.running_bounds r in
+  let mu = model.Cost_model.mu in
+  let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  let ok = ref true in
+  for i = 1 to Sequence.n seq do
+    if Float.is_finite d.(i) then begin
+      let p = Sequence.prev_same_server seq i in
+      let base = (mu *. Sequence.sigma seq i) +. big_b.(i - 1) in
+      let valid =
+        p >= 0
+        &&
+        match Offline_dp.pivot_of r i with
+        | Some kappa ->
+            let pk = Sequence.prev_same_server seq kappa in
+            0 <= pk && pk < p && p < kappa && kappa < i
+            && same_bits d.(i) (d.(kappa) +. base -. big_b.(kappa))
+        | None -> same_bits d.(i) (c.(p) +. base -. big_b.(p))
+      in
+      if not valid then ok := false
+    end
+  done;
+  !ok
+
+let pivot_validity =
+  qcheck ~count:300 "offline: every pivot is a first successor and rebuilds D(i) exactly"
+    (nonempty_problem_arbitrary ~with_upload:true ())
+    (fun { model; seq } -> pivots_valid model seq)
+
+let pivot_validity_large =
+  qcheck ~count:8 "offline: pivots stay valid on large instances (m <= 128, n <= 10^4)"
+    large_size_arbitrary
+    (fun (n, m) -> pivots_valid (Cost_model.make ~mu:1.0 ~lambda:2.0 ()) (large_instance ~n ~m))
+
 let fig6_bounds () =
   let r = Offline_dp.solve unit (fig6 ()) in
   let big_b = Offline_dp.running_bounds r in
@@ -274,6 +315,8 @@ let suite =
     case "fig6: D vector matches the paper" fig6_d_vector;
     case "fig6: pivot indices (Lemma 3 vs Lemma 4)" fig6_pivots;
     case "fig6: running bounds used in D(7)" fig6_bounds;
+    pivot_validity;
+    pivot_validity_large;
     case "fig2: caching 3.2 + transfers 4.0" fig2_costs;
     case "degenerate: empty sequence" empty_sequence;
     case "degenerate: one request at home" single_request_home;

@@ -39,7 +39,7 @@ let core_fixtures =
     "s1v2_hidden.ml"; "s1v2_record.ml"; "s1v2_scc.ml"; "s1v2_clean.ml"; "s7_ref.ml";
     "s7_named.ml"; "s7_clean.ml"; "stale_suppress.ml"; "s2v2_chain.ml"; "s2v2_chain.mli";
     "s2v2_clean.ml"; "s2v2_clean.mli"; "s1v3_record.ml"; "s1v3_escape.ml"; "s8_lock.ml";
-    "s8_protect.ml"; "s8_socket.ml"; "multi_suppress.ml"; "s1_bigarray.ml";
+    "s8_protect.ml"; "s8_socket.ml"; "multi_suppress.ml"; "s1_bigarray.ml"; "s1_nested.ml";
   ]
 
 let workload_fixtures = [ "s6_deep.mli"; "s6_deep.ml"; "s6_violation.ml"; "s6_clean.ml" ]
@@ -111,6 +111,7 @@ let test_rules_fire () =
   Alcotest.(check (list string)) "no decode errors" [] errors;
   check_one "S1 tuple in hot loop" "S1" "lib/core/s1_violation.ml" 6 findings;
   check_one "S1 body-level Array.copy" "S1" "lib/core/s1_hot_copy.ml" 6 findings;
+  check_one "S1 tuple in a submodule's hot loop" "S1" "lib/core/s1_nested.ml" 8 findings;
   check_one "S2 undocumented raise" "S2" "lib/core/s2_violation.mli" 3 findings;
   check_one "S4 bare float fold" "S4" "lib/core/s4_violation.ml" 6 findings;
   (* the hot-body sink construction, the three setup-cost calls
@@ -315,7 +316,7 @@ let test_stats_populated () =
 (* version pins: forgetting to bump either stamp when rule semantics
    change is the cache-staleness failure mode — fail loudly here *)
 let test_version_pins () =
-  Alcotest.(check string) "analyzer version" "10" Sema_rules.analyzer_version;
+  Alcotest.(check string) "analyzer version" "11" Sema_rules.analyzer_version;
   Alcotest.(check int) "cache format version" 5 Sema_cache.version
 
 (* witness chains surface in SARIF as codeFlows/relatedLocations and

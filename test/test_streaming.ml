@@ -1,7 +1,8 @@
 (* Tests for the streaming (incremental) solver: prefix optima and
-   packed arenas against the batch and full-scan solvers, mid-stream
-   reconstruction, validation, the cost-only kernel's bit-identity and
-   bounded state, and metamorphic properties of the optimum. *)
+   the per-request log against the batch and full-scan solvers,
+   mid-stream reconstruction, validation, the cost-only kernel's
+   bit-identity and bounded state, and metamorphic properties of the
+   optimum. *)
 
 open Dcache_core
 open Helpers
@@ -46,21 +47,14 @@ let schedule_between_pushes =
       done;
       mid_ok && approx (Streaming_dp.cost stream) (Offline_dp.cost (Offline_dp.solve model seq)))
 
-let arena_matches_full_scan =
-  (* exercises the flat arena well past its growth boundaries (initial
+let log_matches_full_scan =
+  (* exercises the log well past its growth boundaries (initial
      capacity 64, doubling) and across wide server counts, against the
      structure-free full-scan oracle *)
-  qcheck ~count:8 "streaming: flat-arena C/D equal the full-scan oracle on large instances"
-    QCheck.(pair (int_range 1_000 10_000) (int_range 2 128))
+  qcheck ~count:8 "streaming: logged C/D equal the full-scan oracle on large instances"
+    large_size_arbitrary
     (fun (n, m) ->
-      let rng = Dcache_prelude.Rng.create (n + (131 * m)) in
-      let clock = ref 0.0 in
-      let requests =
-        Array.init n (fun _ ->
-            clock := !clock +. Dcache_prelude.Rng.float_in rng 0.01 0.6;
-            Request.make ~server:(Dcache_prelude.Rng.int rng m) ~time:!clock)
-      in
-      let seq = Sequence.create_exn ~m requests in
+      let seq = large_instance ~n ~m in
       let model = Cost_model.make ~mu:1.0 ~lambda:2.0 () in
       let c, d = Dcache_baselines.Naive_dp.solve_vectors model seq in
       let stream = Streaming_dp.create model ~m in
@@ -79,9 +73,6 @@ let streaming_accessors () =
   let model = Cost_model.unit in
   let stream = Streaming_dp.create model ~m:4 in
   Alcotest.(check int) "empty n" 0 (Streaming_dp.n stream);
-  Alcotest.(check int) "m" 4 (Streaming_dp.m stream);
-  check_float "model lambda" model.Cost_model.lambda (Streaming_dp.model stream).Cost_model.lambda;
-  check_float "model mu" model.Cost_model.mu (Streaming_dp.model stream).Cost_model.mu;
   check_float "empty cost" 0.0 (Streaming_dp.cost stream);
   let seq = fig6 () in
   feed stream seq 8;
@@ -90,9 +81,7 @@ let streaming_accessors () =
   check_float "D(7)" 9.2 (Streaming_dp.semi_cost_at stream 7);
   check_float "b_6" 0.6 (Streaming_dp.marginal_at stream 6);
   check_float "B_6" 5.6 (Streaming_dp.running_at stream 6);
-  Alcotest.(check (option int)) "pivot of 7" (Some 4) (Streaming_dp.pivot_at stream 7);
-  Alcotest.(check int) "server_at" 2 (Streaming_dp.server_at stream 7);
-  check_float "time_at" 4.0 (Streaming_dp.time_at stream 7)
+  Alcotest.(check (option int)) "pivot of 7" (Some 4) (Streaming_dp.pivot_at stream 7)
 
 let schedule_memo () =
   let seq = fig6 () in
@@ -115,7 +104,7 @@ let schedule_memo () =
   Alcotest.(check bool) "memo re-primed" true (Streaming_dp.schedule stream == b)
 
 (* warm reconstruction must be allocation-free: after the first
-   [schedule] call the memo answers from the packed arenas without
+   [schedule] call the memo answers from the log without
    touching the minor heap (the perf gate enforces the same budget on
    the n = 1000 instance; this is the in-suite regression) *)
 let schedule_memo_alloc_free () =
@@ -281,19 +270,19 @@ let exchange_local_optimality =
 
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
-(* Pushes [seq] into both kernels and checks [Streaming_cost.cost]
+(* Pushes [seq] into both kernels and checks [Streaming_dp.Cost.cost]
    against [Streaming_dp.cost] bit for bit at every prefix. *)
 let cost_bits_match model seq =
   let m = Sequence.m seq in
-  let full = Streaming_dp.create model ~m and lean = Streaming_cost.create model ~m in
-  let ok = ref (same_bits (Streaming_dp.cost full) (Streaming_cost.cost lean)) in
+  let full = Streaming_dp.create model ~m and lean = Streaming_dp.Cost.create model ~m in
+  let ok = ref (same_bits (Streaming_dp.cost full) (Streaming_dp.Cost.cost lean)) in
   for i = 1 to Sequence.n seq do
     let server = Sequence.server seq i and time = Sequence.time seq i in
     Streaming_dp.push full ~server ~time;
-    Streaming_cost.push lean ~server ~time;
-    if not (same_bits (Streaming_dp.cost full) (Streaming_cost.cost lean)) then ok := false
+    Streaming_dp.Cost.push lean ~server ~time;
+    if not (same_bits (Streaming_dp.cost full) (Streaming_dp.Cost.cost lean)) then ok := false
   done;
-  !ok && Streaming_cost.n lean = Sequence.n seq
+  !ok && Streaming_dp.Cost.n lean = Sequence.n seq
 
 let cost_kernel_bit_identical =
   qcheck ~count:300 "cost kernel: every prefix cost has Streaming_dp's exact bits"
@@ -342,12 +331,12 @@ let cost_kernel_matches_naive () =
   List.iter
     (fun (label, model) ->
       let c, _ = Dcache_baselines.Naive_dp.solve_vectors model seq in
-      let lean = Streaming_cost.create model ~m:5 in
+      let lean = Streaming_dp.Cost.create model ~m:5 in
       for i = 1 to Sequence.n seq do
-        Streaming_cost.push lean ~server:(Sequence.server seq i) ~time:(Sequence.time seq i);
+        Streaming_dp.Cost.push lean ~server:(Sequence.server seq i) ~time:(Sequence.time seq i);
         if i mod 75 = 0 || i = Sequence.n seq then
           check_float ~eps:1e-6 (Printf.sprintf "%s: C(%d)" label i) c.(i)
-            (Streaming_cost.cost lean)
+            (Streaming_dp.Cost.cost lean)
       done)
     sweep_models
 
@@ -355,35 +344,35 @@ let cost_kernel_matches_naive () =
    is the same size after 10^5 and after 10^6 pushes. *)
 let cost_kernel_state_bounded () =
   let m = 64 in
-  let lean = Streaming_cost.create (Cost_model.make ~mu:1.0 ~lambda:2.0 ()) ~m in
+  let lean = Streaming_dp.Cost.create (Cost_model.make ~mu:1.0 ~lambda:2.0 ()) ~m in
   let rng = Dcache_prelude.Rng.create 64 in
   let clock = ref 0.0 in
   let push_upto n =
-    for _ = Streaming_cost.n lean + 1 to n do
+    for _ = Streaming_dp.Cost.n lean + 1 to n do
       clock := !clock +. Dcache_prelude.Rng.float_in rng 0.001 0.1;
-      Streaming_cost.push lean ~server:(Dcache_prelude.Rng.int rng m) ~time:!clock
+      Streaming_dp.Cost.push lean ~server:(Dcache_prelude.Rng.int rng m) ~time:!clock
     done
   in
   push_upto 100_000;
   let words_1e5 = Obj.reachable_words (Obj.repr lean) in
   push_upto 1_000_000;
   let words_1e6 = Obj.reachable_words (Obj.repr lean) in
-  Alcotest.(check int) "pushed" 1_000_000 (Streaming_cost.n lean);
+  Alcotest.(check int) "pushed" 1_000_000 (Streaming_dp.Cost.n lean);
   Alcotest.(check int) "reachable words after 1e5 and 1e6 pushes" words_1e5 words_1e6
 
 let cost_kernel_input_contract () =
-  let lean = Streaming_cost.create Cost_model.unit ~m:3 in
-  Streaming_cost.push lean ~server:1 ~time:1.0;
-  Streaming_cost.push lean ~server:2 ~time:2.0;
-  let cost = Streaming_cost.cost lean in
+  let lean = Streaming_dp.Cost.create Cost_model.unit ~m:3 in
+  Streaming_dp.Cost.push lean ~server:1 ~time:1.0;
+  Streaming_dp.Cost.push lean ~server:2 ~time:2.0;
+  let cost = Streaming_dp.Cost.cost lean in
   List.iter
     (fun (label, server, time) ->
-      (match Streaming_cost.push lean ~server ~time with
+      (match Streaming_dp.Cost.push lean ~server ~time with
       | () -> Alcotest.failf "%s: accepted" label
       | exception Invalid_argument _ -> ());
-      Alcotest.(check int) (label ^ ": n unchanged") 2 (Streaming_cost.n lean);
+      Alcotest.(check int) (label ^ ": n unchanged") 2 (Streaming_dp.Cost.n lean);
       Alcotest.(check bool) (label ^ ": cost unchanged") true
-        (same_bits cost (Streaming_cost.cost lean)))
+        (same_bits cost (Streaming_dp.Cost.cost lean)))
     [
       ("server = m", 3, 3.0);
       ("server < 0", -1, 3.0);
@@ -397,13 +386,13 @@ let cost_kernel_input_contract () =
   List.iter
     (fun (server, time) ->
       Streaming_dp.push full ~server ~time;
-      if time > 2.0 then Streaming_cost.push lean ~server ~time)
+      if time > 2.0 then Streaming_dp.Cost.push lean ~server ~time)
     [ (1, 1.0); (2, 2.0); (0, 3.0); (1, 3.5) ];
   Alcotest.(check bool) "still bit-identical" true
-    (same_bits (Streaming_dp.cost full) (Streaming_cost.cost lean));
+    (same_bits (Streaming_dp.cost full) (Streaming_dp.Cost.cost lean));
   List.iter
     (fun m ->
-      match Streaming_cost.create Cost_model.unit ~m with
+      match Streaming_dp.Cost.create Cost_model.unit ~m with
       | _ -> Alcotest.failf "m = %d accepted" m
       | exception Invalid_argument _ -> ())
     [ 0; -1 ]
@@ -411,7 +400,7 @@ let cost_kernel_input_contract () =
 let suite =
   [
     prefix_optima_match_batch;
-    arena_matches_full_scan;
+    log_matches_full_scan;
     schedule_between_pushes;
     case "streaming: accessors on fig6" streaming_accessors;
     case "streaming: schedule memo and push invalidation" schedule_memo;

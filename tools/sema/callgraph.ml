@@ -225,8 +225,7 @@ let builtin_allocates = function
   (* Bigarray creators and view builders allocate a custom block per
      call.  Scalar-kind get/set/unsafe_get/unsafe_set are deliberately
      absent: full applications compile to unboxed loads/stores, so hot
-     packed-row accessors (Streaming_dp) must not summarise as
-     allocating. *)
+     packed-row accessors must not summarise as allocating. *)
   | ("Array1" | "Array2" | "Array3" | "Genarray"), ( "create" | "init" | "of_array" | "sub"
     | "sub_left" | "sub_right" | "slice_left" | "slice_right" ) ->
       true

@@ -18,7 +18,7 @@ module F = Report_finding
    every unit digest, so a rules update invalidates the incremental
    cache wholesale and stale cached analyses cannot mask new
    findings. *)
-let analyzer_version = "10"
+let analyzer_version = "11"
 
 let catalog =
   [
@@ -94,6 +94,31 @@ let has_attr names attrs =
 
 let is_hot vb = has_attr [ "hot"; "dcache.hot" ] vb.vb_attributes
 
+let binding_name vb =
+  match vb.vb_pat.pat_desc with Tpat_var (id, _) -> Ident.name id | _ -> "<binding>"
+
+(* Applies [f] to every [@@hot] binding of [str], including those in
+   submodules (a kernel nested as [module Cost = struct ... end] is
+   held to the same contract as a top-level one). *)
+let rec iter_hot_bindings f str =
+  List.iter
+    (fun item ->
+      match item.str_desc with
+      | Tstr_value (_, vbs) -> List.iter (fun vb -> if is_hot vb then f vb) vbs
+      | Tstr_module mb -> iter_hot_module f mb
+      | Tstr_recmodule mbs -> List.iter (iter_hot_module f) mbs
+      | _ -> ())
+    str.str_items
+
+and iter_hot_module f mb =
+  let rec structure_of me =
+    match me.mod_desc with
+    | Tmod_structure str -> Some str
+    | Tmod_constraint (me, _, _, _) -> structure_of me
+    | _ -> None
+  in
+  Option.iter (iter_hot_bindings f) (structure_of mb.mb_expr)
+
 let doc_of_attrs attrs =
   List.filter_map
     (fun (a : Parsetree.attribute) ->
@@ -167,8 +192,8 @@ let array_copy_builtins = [ "copy"; "append"; "sub"; "of_list"; "concat" ]
    array instead.  Scalar-kind [get]/[set]/[unsafe_get]/[unsafe_set]
    are deliberately *not* flagged anywhere in S1 (here or in the
    call-graph summaries): full applications compile to unboxed
-   loads/stores — the int32/float box fuses away in Cmm — which is
-   exactly the discipline Streaming_dp's packed rows rely on. *)
+   loads/stores — the int32/float box fuses away in Cmm — so a hot
+   body may keep packed scalar rows in a Bigarray. *)
 let bigarray_proxy_builtins = [ "sub"; "sub_left"; "sub_right"; "slice_left"; "slice_right" ]
 
 let scan_hot_body ~path ~fname add body =
@@ -205,9 +230,7 @@ let scan_hot_body ~path ~fname add body =
 
 let check_s1 ~path add structure =
   let scan_binding vb =
-    let fname =
-      match vb.vb_pat.pat_desc with Tpat_var (id, _) -> Ident.name id | _ -> "<binding>"
-    in
+    let fname = binding_name vb in
     scan_hot_body ~path ~fname add vb.vb_expr;
     let it =
       {
@@ -223,12 +246,7 @@ let check_s1 ~path add structure =
     in
     it.expr it vb.vb_expr
   in
-  List.iter
-    (fun item ->
-      match item.str_desc with
-      | Tstr_value (_, vbs) -> List.iter (fun vb -> if is_hot vb then scan_binding vb) vbs
-      | _ -> ())
-    structure.str_items
+  iter_hot_bindings scan_binding structure
 
 (* ------------------------------------- S5: observability discipline *)
 
@@ -314,22 +332,9 @@ let scan_s5_hot_body ~path ~fname add body =
   it.expr it body
 
 let check_s5 ~path add structure =
-  List.iter
-    (fun item ->
-      match item.str_desc with
-      | Tstr_value (_, vbs) ->
-          List.iter
-            (fun vb ->
-              if is_hot vb then
-                let fname =
-                  match vb.vb_pat.pat_desc with
-                  | Tpat_var (id, _) -> Ident.name id
-                  | _ -> "<binding>"
-                in
-                scan_s5_hot_body ~path ~fname add vb.vb_expr)
-            vbs
-      | _ -> ())
-    structure.str_items
+  iter_hot_bindings
+    (fun vb -> scan_s5_hot_body ~path ~fname:(binding_name vb) add vb.vb_expr)
+    structure
 
 (* --------------------------------- S8: lock and resource discipline *)
 
