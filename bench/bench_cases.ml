@@ -87,7 +87,7 @@ let max_reconstruct_words = 1000.0
 let reconstruct_minor_words () =
   let seq = random_instance 1 ~m:8 ~n:1000 in
   let r = Offline_dp.solve model seq in
-  (* cold call: fills the memo and the preallocated walk buffers *)
+  (* cold call: walks the log once and fills the memo *)
   ignore (Offline_dp.schedule r);
   let iters = 64 in
   let calib =
@@ -326,16 +326,17 @@ let measure_audit_cost () =
 
 (* ------------------------------------------- labeled-family budgets *)
 
-(* Labeled children ([Obs.counter_vec] and friends) keep a two-sided
-   contract (docs/OBSERVABILITY.md): once resolved, a child IS a plain
-   cell — bumping it is the same single atomic op as an unlabeled
-   counter and allocates 0 minor words — while resolution
-   ([counter_with_label], the hash-interning step) takes the registry
-   lock and is priced for registration or loop entry, never the
-   per-request path (sema rule S5 flags it inside [@@hot] bodies).
-   The resolve budget is deliberately loose: it bounds "hash a short
-   string under a lock" and exists to catch an accidental O(children)
-   rescan, not cache noise. *)
+(* Labeled children ([Obs.counter_vec] / [Obs.gauge_vec]) keep a
+   two-sided contract (docs/OBSERVABILITY.md): once resolved, a child
+   IS a plain cell — bumping it is the same single atomic op as an
+   unlabeled counter and allocates 0 minor words — while resolution
+   ([counter_with_label], which encodes the child's name and interns
+   it in the flat registry) takes the registry lock and is priced for
+   registration or loop entry, never the per-request path (sema rule
+   S5 flags it inside [@@hot] bodies).  The resolve budget is
+   deliberately loose: it bounds "encode a short name and find it
+   among the registered metrics under a lock" and exists to catch a
+   runaway rescan, not cache noise. *)
 let max_labeled_resolve_ns = 20_000.0
 
 type labeled_cost = {
@@ -344,7 +345,7 @@ type labeled_cost = {
   resolve_ns : float;  (* per re-resolution of an existing child *)
 }
 
-let labeled_vec () = Obs.counter_vec "bench.labeled" ~labels:[ "lane" ]
+let labeled_vec () = Obs.counter_vec "bench.labeled" ~label:"lane"
 
 let measure_labeled_cost () =
   (* bump under a live recording sink: the stronger claim — the child

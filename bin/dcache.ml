@@ -550,8 +550,8 @@ let serve_metrics_cmd =
     let g_ratio = Obs.gauge "serve.sc_vs_opt" in
     (* per-item children of the labeled serve.* families, resolved
        once here — the batch loop only bumps plain cells *)
-    let v_item_opt = Obs.gauge_vec "serve.item_opt_cost" ~labels:[ "item" ] in
-    let v_item_ratio = Obs.gauge_vec "serve.item_sc_vs_opt" ~labels:[ "item" ] in
+    let v_item_opt = Obs.gauge_vec "serve.item_opt_cost" ~label:"item" in
+    let v_item_ratio = Obs.gauge_vec "serve.item_sc_vs_opt" ~label:"item" in
     let item_labels = Array.init items (Printf.sprintf "item%d") in
     let g_item_opt = Array.map (Obs.gauge_with_label v_item_opt) item_labels in
     let g_item_ratio = Array.map (Obs.gauge_with_label v_item_ratio) item_labels in

@@ -45,9 +45,8 @@
    through a function of another module is boxed, whereas [push]
    reads [sc] directly.
 
-   [schedule] accumulates the walk into preallocated flat buffers
-   (grown geometrically, no per-piece list churn until the final
-   [Schedule.make]) and memoises the result keyed on the prefix
+   [schedule] conses the walk's pieces straight into the lists
+   [Schedule.make] sorts, and memoises the result keyed on the prefix
    length: the log is append-only, so repeated calls between pushes
    return the same physically-equal value without re-walking. *)
 
@@ -228,15 +227,6 @@ type t = {
      is a complete key for the schedule *)
   mutable sched_n : int;
   mutable sched : Schedule.t;
-  (* preallocated walk buffers (caches: server/from/to; transfers:
-     src/dst/time with src = -1 encoding From_external) *)
-  mutable pb_cap : int;
-  mutable pb_server : int array;
-  mutable pb_from : float array;
-  mutable pb_to : float array;
-  mutable tb_src : int array;
-  mutable tb_dst : int array;
-  mutable tb_time : float array;
 }
 
 let initial_cap = 64
@@ -263,13 +253,6 @@ let create model ~m =
     big_b = Array.make cap 0.0;
     sched_n = 0;
     sched = Schedule.make ~caches:[] ~transfers:[];
-    pb_cap = 0;
-    pb_server = [||];
-    pb_from = [||];
-    pb_to = [||];
-    tb_src = [||];
-    tb_dst = [||];
-    tb_time = [||];
   }
 
 let n t = t.kernel.Cost.n
@@ -356,21 +339,6 @@ let push t ~server ~time =
 
 (* -- schedule reconstruction ------------------------------------------ *)
 
-(* the walk emits at most one cache piece and one transfer piece per
-   request index, so n + 1 slots per buffer always suffice *)
-let ensure_path_cap t =
-  let len = n t + 1 in
-  if t.pb_cap < len then begin
-    let ncap = max len (max initial_cap (2 * t.pb_cap)) in
-    t.pb_server <- Array.make ncap 0;
-    t.pb_from <- Array.make ncap 0.0;
-    t.pb_to <- Array.make ncap 0.0;
-    t.tb_src <- Array.make ncap 0;
-    t.tb_dst <- Array.make ncap 0;
-    t.tb_time <- Array.make ncap 0.0;
-    t.pb_cap <- ncap
-  end
-
 let schedule t =
   if t.sched_n = n t then begin
     Obs.incr c_sched_memo;
@@ -380,26 +348,19 @@ let schedule t =
     Obs.spanned sp_schedule @@ fun () ->
     let model = t.kernel.Cost.model in
     let mu = model.Cost_model.mu and lam_eff = t.kernel.Cost.lam_eff in
-    ensure_path_cap t;
-    let nc = ref 0 and nt = ref 0 in
+    (* each request index yields at most one piece of each kind and
+       times strictly increase, so no two pieces share a sort key and
+       the order they are consed in cannot change the sorted result *)
+    let caches = ref [] and transfers = ref [] in
     let add_cache server from_time to_time =
-      if to_time > from_time then begin
-        let k = !nc in
-        t.pb_server.(k) <- server;
-        t.pb_from.(k) <- from_time;
-        t.pb_to.(k) <- to_time;
-        nc := k + 1
-      end
+      if to_time > from_time then caches := { Schedule.server; from_time; to_time } :: !caches
     in
     (* upload-vs-lambda is a property of the model, not of the walk
        step: decide the transfer source once, outside the loop *)
     let external_src = model.Cost_model.upload < model.Cost_model.lambda in
     let add_transfer src_server dst time =
-      let k = !nt in
-      t.tb_src.(k) <- (if external_src then -1 else src_server);
-      t.tb_dst.(k) <- dst;
-      t.tb_time.(k) <- time;
-      nt := k + 1
+      let src = if external_src then Schedule.From_external else Schedule.From_server src_server in
+      transfers := { Schedule.src; dst; time } :: !transfers
     in
     let serve_marginal source lo hi =
       for h = lo to hi do
@@ -437,19 +398,6 @@ let schedule t =
       end
     in
     walk_c (n t);
-    let caches = ref [] in
-    for k = !nc - 1 downto 0 do
-      caches :=
-        { Schedule.server = t.pb_server.(k); from_time = t.pb_from.(k); to_time = t.pb_to.(k) }
-        :: !caches
-    done;
-    let transfers = ref [] in
-    for k = !nt - 1 downto 0 do
-      let src =
-        if t.tb_src.(k) < 0 then Schedule.From_external else Schedule.From_server t.tb_src.(k)
-      in
-      transfers := { Schedule.src; dst = t.tb_dst.(k); time = t.tb_time.(k) } :: !transfers
-    done;
     let s = Schedule.make ~caches:!caches ~transfers:!transfers in
     t.sched <- s;
     t.sched_n <- n t;

@@ -15,10 +15,10 @@ let g_multiplier = Obs.gauge "multi_item.multiplier"
    planning call, never inside the budget search's evaluation loop —
    and bounded: past the cap new labels collapse into the ["other"]
    child (see Obs's labeled families). *)
-let v_item_requests = Obs.counter_vec "multi_item.item_requests" ~labels:[ "item" ]
-let v_item_transfers = Obs.counter_vec "multi_item.item_transfers" ~labels:[ "item" ]
-let v_item_evictions = Obs.counter_vec "multi_item.item_evictions" ~labels:[ "item" ]
-let v_item_cost = Obs.gauge_vec "multi_item.item_cost" ~labels:[ "item" ]
+let v_item_requests = Obs.counter_vec "multi_item.item_requests" ~label:"item"
+let v_item_transfers = Obs.counter_vec "multi_item.item_transfers" ~label:"item"
+let v_item_evictions = Obs.counter_vec "multi_item.item_evictions" ~label:"item"
+let v_item_cost = Obs.gauge_vec "multi_item.item_cost" ~label:"item"
 
 type item = { label : string; size : float; requests : Request.t array }
 

@@ -16,8 +16,8 @@ let h_window_ratios =
    runs one auditor per item): distinct base names so the flat
    aggregates above keep their own Prometheus families.  Children are
    resolved once in [create] — never on the observe path. *)
-let v_item_window_ratio = Obs.gauge_vec "audit.item_window_ratio" ~labels:[ "item" ]
-let v_item_windows = Obs.counter_vec "audit.item_windows" ~labels:[ "item" ]
+let v_item_window_ratio = Obs.gauge_vec "audit.item_window_ratio" ~label:"item"
+let v_item_windows = Obs.counter_vec "audit.item_windows" ~label:"item"
 
 (* Regret quantiles ride the span-duration histograms (the one
    Histo_log surface already exported to Prometheus summaries and the

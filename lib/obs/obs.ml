@@ -121,33 +121,30 @@ let h_cells : hist array ref = ref [||]
 
 let append cells v = cells := Array.append !cells [| v |]
 
-(* ----------------------------------------- labeled families: registry *)
+(* ------------------------------------------------------- registration *)
 
-(* A metric vector is a family of plain cells keyed by a small label
-   set.  Each child is a regular entry in the flat registries above,
-   interned under the encoded name [base{k1="v1",k2="v2"}] (values
-   Prometheus-escaped at creation, keys in declaration order), so the
-   hot-path bump on a resolved child is the same single atomic op as
-   any plain metric and the 0-word Noop contract holds unchanged.
-   Because readbacks are name-sorted, the children of one family are
-   contiguous and in a deterministic byte order no matter which
-   domain resolved them first — exposition stays width-independent. *)
+(* A metric family is a set of plain cells keyed by one label.  Each
+   child is a regular entry in the flat registries above, interned
+   under the encoded name [base{key="value"}] (value Prometheus-escaped
+   at creation), so the hot-path bump on a resolved child is the same
+   single atomic op as any plain metric and the 0-word Noop contract
+   holds unchanged.  The flat registry already interns by name, so a
+   family only counts its children.  Because readbacks are name-sorted,
+   the children of one family are contiguous and in a deterministic
+   byte order no matter which domain resolved them first — exposition
+   stays width-independent. *)
 
-type vec_kind = Vec_counter | Vec_gauge | Vec_histogram of float array
+type vec_kind = Vec_counter | Vec_gauge
 
 type vec = {
   v_name : string;
-  v_keys : string array;
+  v_key : string;
   v_kind : vec_kind;
-  v_max : int;
-  (* '\x00'-joined label values -> interned cell id: the O(1) lookup
-     that keeps re-resolution cheap and child ids stable *)
-  v_children : (string, int) Hashtbl.t;
+  mutable v_size : int;  (* children interned below [family_cap] *)
 }
 
 type counter_vec = vec
 type gauge_vec = vec
-type histogram_vec = vec
 
 let vec_registry : vec list ref = ref []
 
@@ -155,13 +152,10 @@ let find_vec name = List.find_opt (fun v -> String.equal v.v_name name) !vec_reg
 
 let same_vec_kind a b =
   match (a, b) with
-  | Vec_counter, Vec_counter | Vec_gauge, Vec_gauge | Vec_histogram _, Vec_histogram _ -> true
-  | (Vec_counter | Vec_gauge | Vec_histogram _), _ -> false
+  | Vec_counter, Vec_counter | Vec_gauge, Vec_gauge -> true
+  | (Vec_counter | Vec_gauge), _ -> false
 
-let vec_kind_label = function
-  | Vec_counter -> "counter"
-  | Vec_gauge -> "gauge"
-  | Vec_histogram _ -> "histogram"
+let vec_kind_label = function Vec_counter -> "counter" | Vec_gauge -> "gauge"
 
 (* A plain metric and a same-kind family under one base name would
    render into the same Prometheus family with inconsistent label
@@ -192,29 +186,6 @@ let gauge_cell name =
       g_cells := Array.append !g_cells [| 0.0 |];
       Array.length !g_names - 1
 
-let histogram_cell name buckets =
-  let names = Array.map (fun h -> h.h_name) !h_cells in
-  match find_name names name with
-  | Some id -> id
-  | None ->
-      append h_cells
-        {
-          h_name = name;
-          h_edges = Array.copy buckets;
-          h_counts = Array.init (Array.length buckets + 1) (fun _ -> Atomic.make 0);
-          h_sum = Atomic.make 0.0;
-        };
-      Array.length !h_cells - 1
-
-let check_buckets fn buckets =
-  if Array.length buckets = 0 then
-    invalid_arg (Printf.sprintf "Obs.%s: need at least one bucket edge" fn);
-  Array.iteri
-    (fun i e ->
-      if i > 0 && not (buckets.(i - 1) < e) then
-        invalid_arg (Printf.sprintf "Obs.%s: bucket edges must be strictly increasing" fn))
-    buckets
-
 let counter name =
   check_name "counter" name;
   locked (fun () ->
@@ -238,29 +209,78 @@ let span_name name =
           Array.length !s_names - 1)
 
 let histogram name ~buckets =
-  check_buckets "histogram" buckets;
+  if Array.length buckets = 0 then invalid_arg "Obs.histogram: need at least one bucket edge";
+  Array.iteri
+    (fun i e ->
+      if i > 0 && not (buckets.(i - 1) < e) then
+        invalid_arg "Obs.histogram: bucket edges must be strictly increasing")
+    buckets;
   check_name "histogram" name;
   locked (fun () ->
-      check_vec_collision "histogram" (Vec_histogram buckets) name;
-      histogram_cell name buckets)
+      let names = Array.map (fun h -> h.h_name) !h_cells in
+      match find_name names name with
+      | Some id -> id
+      | None ->
+          append h_cells
+            {
+              h_name = name;
+              h_edges = Array.copy buckets;
+              h_counts = Array.init (Array.length buckets + 1) (fun _ -> Atomic.make 0);
+              h_sum = Atomic.make 0.0;
+            };
+          Array.length !h_cells - 1)
 
-(* ---------------------------------------- labeled families: resolution *)
+(* ---------------------------------------------------- labeled families *)
 
-(* Cardinality is bounded per family: past [max_children] every new
-   label-value combination collapses into the reserved all-["other"]
-   child and bumps [obs.label_overflow], so a family registered with
-   [max_children:k] owns at most [k + 1] cells, ever.  The overflow
-   counter is bumped unconditionally (not probe-gated): resolution is
-   registration-path work, and an overflow under [Noop] must still be
-   visible once a sink is installed. *)
+let make_vec fn kind name ~label =
+  check_name fn name;
+  check_label_key fn label;
+  locked (fun () ->
+      match find_vec name with
+      | Some v ->
+          (* re-registration interns: same name + kind + key returns the
+             existing family, so child ids resolved through either
+             handle agree *)
+          if not (same_vec_kind v.v_kind kind && String.equal v.v_key label) then
+            invalid_arg
+              (Printf.sprintf "Obs.%s: %S is already registered with a different kind or label" fn
+                 name);
+          v
+      | None ->
+          let plain_names = match kind with Vec_counter -> !c_names | Vec_gauge -> !g_names in
+          (match find_name plain_names name with
+          | Some _ ->
+              invalid_arg
+                (Printf.sprintf "Obs.%s: %S is already a plain %s" fn name (vec_kind_label kind))
+          | None -> ());
+          let v = { v_name = name; v_key = label; v_kind = kind; v_size = 0 } in
+          vec_registry := v :: !vec_registry;
+          v)
 
-let default_max_children = 64
+let counter_vec name ~label = make_vec "counter_vec" Vec_counter name ~label
+
+let gauge_vec name ~label = make_vec "gauge_vec" Vec_gauge name ~label
+
+(* Cardinality is bounded: past [family_cap] every new label value
+   collapses into the reserved ["other"] child and bumps
+   [obs.label_overflow], so a family owns at most [family_cap + 1]
+   cells, ever.  The overflow counter is bumped unconditionally (not
+   probe-gated): resolution is registration-path work, and an
+   overflow under [Noop] must still be visible once a sink is
+   installed. *)
+
+let family_cap = 64
 
 let overflow_label = "other"
 
 let c_label_overflow = counter "obs.label_overflow"
 
-let escape_label_value b s =
+let child_name v value =
+  let b = Buffer.create (String.length v.v_name + String.length v.v_key + 16) in
+  Buffer.add_string b v.v_name;
+  Buffer.add_char b '{';
+  Buffer.add_string b v.v_key;
+  Buffer.add_string b "=\"";
   String.iter
     (fun c ->
       match c with
@@ -268,137 +288,29 @@ let escape_label_value b s =
       | '"' -> Buffer.add_string b "\\\""
       | '\n' -> Buffer.add_string b "\\n"
       | c -> Buffer.add_char b c)
-    s
-
-let encode_child_name base keys values =
-  let b = Buffer.create (String.length base + 16) in
-  Buffer.add_string b base;
-  Buffer.add_char b '{';
-  Array.iteri
-    (fun i k ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b k;
-      Buffer.add_string b "=\"";
-      escape_label_value b values.(i);
-      Buffer.add_char b '"')
-    keys;
-  Buffer.add_char b '}';
+    value;
+  Buffer.add_string b "\"}";
   Buffer.contents b
 
-let same_keys a b =
-  Array.length a = Array.length b
-  &&
-  let ok = ref true in
-  Array.iteri (fun i k -> if not (String.equal k b.(i)) then ok := false) a;
-  !ok
-
-let same_buckets a b =
-  Array.length a = Array.length b
-  &&
-  let ok = ref true in
-  Array.iteri (fun i e -> if not (Float.equal e b.(i)) then ok := false) a;
-  !ok
-
-let make_vec fn kind ?(max_children = default_max_children) name ~labels =
-  check_name fn name;
-  if max_children < 1 then invalid_arg (Printf.sprintf "Obs.%s: max_children must be >= 1" fn);
-  if labels = [] then invalid_arg (Printf.sprintf "Obs.%s: need at least one label" fn);
-  List.iter (check_label_key fn) labels;
-  let keys = Array.of_list labels in
+let resolve v value =
+  let name = child_name v value in
+  let names, intern =
+    match v.v_kind with
+    | Vec_counter -> (c_names, counter_cell)
+    | Vec_gauge -> (g_names, gauge_cell)
+  in
   locked (fun () ->
-      match find_vec name with
-      | Some v ->
-          (* re-registration interns: same name + kind + keys (+ bucket
-             edges) returns the existing family, so child ids resolved
-             through either handle agree *)
-          let compatible =
-            same_vec_kind v.v_kind kind
-            && same_keys v.v_keys keys
-            &&
-            match (v.v_kind, kind) with
-            | Vec_histogram a, Vec_histogram b -> same_buckets a b
-            | _ -> true
-          in
-          if not compatible then
-            invalid_arg
-              (Printf.sprintf "Obs.%s: %S is already registered with a different kind or label set"
-                 fn name);
-          v
-      | None ->
-          let plain_names =
-            match kind with
-            | Vec_counter -> !c_names
-            | Vec_gauge -> !g_names
-            | Vec_histogram _ -> Array.map (fun h -> h.h_name) !h_cells
-          in
-          (match find_name plain_names name with
-          | Some _ ->
-              invalid_arg
-                (Printf.sprintf "Obs.%s: %S is already a plain %s" fn name (vec_kind_label kind))
-          | None -> ());
-          let v =
-            {
-              v_name = name;
-              v_keys = keys;
-              v_kind = kind;
-              v_max = max_children;
-              v_children = Hashtbl.create 16;
-            }
-          in
-          vec_registry := v :: !vec_registry;
-          v)
-
-let counter_vec ?max_children name ~labels = make_vec "counter_vec" Vec_counter ?max_children name ~labels
-
-let gauge_vec ?max_children name ~labels = make_vec "gauge_vec" Vec_gauge ?max_children name ~labels
-
-let histogram_vec ?max_children name ~labels ~buckets =
-  check_buckets "histogram_vec" buckets;
-  make_vec "histogram_vec" (Vec_histogram (Array.copy buckets)) ?max_children name ~labels
-
-let vec_cell v values_arr =
-  let name = encode_child_name v.v_name v.v_keys values_arr in
-  match v.v_kind with
-  | Vec_counter -> counter_cell name
-  | Vec_gauge -> gauge_cell name
-  | Vec_histogram buckets -> histogram_cell name buckets
-
-let resolve fn v values =
-  let nv = List.length values in
-  if nv <> Array.length v.v_keys then
-    invalid_arg
-      (Printf.sprintf "Obs.%s: family %S has %d label(s), got %d value(s)" fn v.v_name
-         (Array.length v.v_keys) nv);
-  locked (fun () ->
-      let key = String.concat "\x00" values in
-      match Hashtbl.find_opt v.v_children key with
+      match find_name !names name with
       | Some id -> id
+      | None when v.v_size < family_cap ->
+          v.v_size <- v.v_size + 1;
+          intern name
       | None ->
-          if Hashtbl.length v.v_children < v.v_max then begin
-            let id = vec_cell v (Array.of_list values) in
-            Hashtbl.add v.v_children key id;
-            id
-          end
-          else begin
-            Atomic.incr !c_cells.(c_label_overflow);
-            let other = Array.map (fun _ -> overflow_label) v.v_keys in
-            let other_key = String.concat "\x00" (Array.to_list other) in
-            match Hashtbl.find_opt v.v_children other_key with
-            | Some id -> id
-            | None ->
-                let id = vec_cell v other in
-                Hashtbl.add v.v_children other_key id;
-                id
-          end)
+          Atomic.incr !c_cells.(c_label_overflow);
+          intern (child_name v overflow_label))
 
-let counter_child v values = resolve "counter_child" v values
-let gauge_child v values = resolve "gauge_child" v values
-let histogram_child v values = resolve "histogram_child" v values
-let counter_with_label v value = resolve "counter_with_label" v [ value ]
-let gauge_with_label v value = resolve "gauge_with_label" v [ value ]
-let histogram_with_label v value = resolve "histogram_with_label" v [ value ]
-
-let vec_cardinality v = locked (fun () -> Hashtbl.length v.v_children)
+let counter_with_label = resolve
+let gauge_with_label = resolve
 
 (* ---------------------------------------------------------- event rings *)
 
@@ -651,21 +563,10 @@ let reset () =
 (* ------------------------------------------------------ parallel regions *)
 
 module Parallel = struct
-  (* Resolved per-task-index wait lanes, wrapped so callers can hold
-     them in a top-level [let] without exposing a module-level array
-     (sema S6/S7 classify bare global arrays as shared mutable
-     state).  The last slot is the shared overflow lane. *)
-  type wait_lanes = gauge array
-
-  let wait_lanes lanes =
-    if Array.length lanes = 0 then invalid_arg "Obs.Parallel.wait_lanes: need at least one lane";
-    Array.copy lanes
-
   type job = {
     j_span : span;
     j_task_span : span;
     j_wait_gauge : gauge;
-    j_task_wait : wait_lanes option;
     j_post_ns : int;
     j_bufs : buf array;
     j_rec : recorder;
@@ -677,7 +578,7 @@ module Parallel = struct
      oldest events and is counted, like the main ring. *)
   let task_capacity = 64
 
-  let job_begin ~span:sp ~task_span ~wait_gauge ~task_wait ~tasks =
+  let job_begin ~span:sp ~task_span ~wait_gauge ~tasks =
     if not state.recording then None
     else
       match state.current with
@@ -692,7 +593,6 @@ module Parallel = struct
               j_span = sp;
               j_task_span = task_span;
               j_wait_gauge = wait_gauge;
-              j_task_wait = task_wait;
               j_post_ns = Clock.now r.r_clock;
               j_bufs = bufs;
               j_rec = r;
@@ -703,19 +603,7 @@ module Parallel = struct
     let saved = Domain.DLS.get current_buf in
     Domain.DLS.set current_buf (Some b);
     let started = Clock.now b.b_clock in
-    let wait = float_of_int (started - j.j_post_ns) in
-    put b tag_sample j.j_wait_gauge started wait;
-    (* per-task labeled lane: wait is recorded as a sample *event*
-       only — the child's gauge cell is never written, because the
-       cross-domain delta is width-dependent under the per-domain
-       tick clock and cells feed the byte-compared readbacks.  The
-       last array slot is the shared overflow lane for high task
-       indices. *)
-    (match j.j_task_wait with
-    | Some lanes ->
-        let k = if i < Array.length lanes - 1 then i else Array.length lanes - 1 in
-        put b tag_sample lanes.(k) started wait
-    | None -> ());
+    put b tag_sample j.j_wait_gauge started (float_of_int (started - j.j_post_ns));
     put b tag_begin j.j_task_span started 0.0;
     let restore () =
       let ended = Clock.now b.b_clock in
@@ -905,21 +793,21 @@ type node = {
   n_name : int;
   mutable n_count : int;
   mutable n_ns : int;
-  mutable n_children : node list;  (* reverse first-seen order *)
+  mutable n_subspans : node list;  (* reverse first-seen order *)
 }
 
 let tree_string ?(timings = true) r =
-  let root = { n_name = -1; n_count = 0; n_ns = 0; n_children = [] } in
+  let root = { n_name = -1; n_count = 0; n_ns = 0; n_subspans = [] } in
   let stack = ref [ (root, 0) ] in
   iter_buf r.r_main (fun tag name ts _value _track ->
       if tag = tag_begin then begin
         let parent = match !stack with (p, _) :: _ -> p | [] -> root in
         let child =
-          match List.find_opt (fun c -> c.n_name = name) parent.n_children with
+          match List.find_opt (fun c -> c.n_name = name) parent.n_subspans with
           | Some c -> c
           | None ->
-              let c = { n_name = name; n_count = 0; n_ns = 0; n_children = [] } in
-              parent.n_children <- c :: parent.n_children;
+              let c = { n_name = name; n_count = 0; n_ns = 0; n_subspans = [] } in
+              parent.n_subspans <- c :: parent.n_subspans;
               c
         in
         child.n_count <- child.n_count + 1;
@@ -939,9 +827,9 @@ let tree_string ?(timings = true) r =
         (Printf.sprintf "%s%s x%d  %.3f ms\n" pad (name_of !s_names n.n_name) n.n_count
            (float_of_int n.n_ns /. 1e6))
     else Buffer.add_string b (Printf.sprintf "%s%s x%d\n" pad (name_of !s_names n.n_name) n.n_count);
-    List.iter (render (depth + 1)) (List.rev n.n_children)
+    List.iter (render (depth + 1)) (List.rev n.n_subspans)
   in
-  List.iter (render 0) (List.rev root.n_children);
+  List.iter (render 0) (List.rev root.n_subspans);
   if timings then
     Buffer.add_string b (Printf.sprintf "(%d events lost)\n" (events_lost r));
   Buffer.contents b

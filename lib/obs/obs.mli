@@ -60,62 +60,42 @@ val histogram : string -> buckets:float array -> histogram
 
 (** {1 Labeled families}
 
-    A metric vector is a family of plain cells keyed by a small label
-    set ([item], [shard], [policy], ...).  Resolve a child {e once},
-    off the hot path — at registration, stream setup, or loop entry —
-    and bump the returned plain id in the loop: the bump is the same
-    single probe-gated atomic op as any flat metric, so the 0-word
-    Noop contract is unchanged (sema rule S5 flags [*_child] /
-    [*_with_label] calls inside [[@@hot]] bodies).
+    A metric vector is a family of plain cells keyed by one label
+    ([item], [policy], [task], ...).  Resolve a child {e once}, off the
+    hot path — at registration, stream setup, or loop entry — and bump
+    the returned plain id in the loop: the bump is the same single
+    probe-gated atomic op as any flat metric, so the 0-word Noop
+    contract is unchanged (sema rule S5 flags {!counter_with_label} /
+    {!gauge_with_label} calls inside [[@@hot]] bodies).
 
-    Cardinality is bounded per family: past [max_children] (default
-    64) every new label-value combination collapses into a reserved
-    all-["other"] child and bumps the [obs.label_overflow] counter —
-    a family registered with [max_children:k] never owns more than
-    [k + 1] children.  Children export through {!Prometheus} as
-    [base{k="v",...}] in deterministic sorted order and appear under
-    their encoded names in {!counter_totals} / {!gauge_values} /
-    {!histogram_dump} and {!Recorder} snapshots. *)
+    Cardinality is bounded: past 64 children every new label value
+    collapses into a reserved ["other"] child and bumps the
+    [obs.label_overflow] counter, so a family never owns more than 65
+    children.  Children export through {!Prometheus} as
+    [base{key="value"}] in deterministic sorted order and appear under
+    their encoded names in {!counter_totals} / {!gauge_values} and
+    {!Recorder} snapshots. *)
 
 type counter_vec
 type gauge_vec
-type histogram_vec
 
-val counter_vec : ?max_children:int -> string -> labels:string list -> counter_vec
-(** Register (or intern) a counter family keyed by [labels] (order
-    matters; at least one).  Re-registering with the same name, kind
-    and label set returns the same family — child ids stay stable.
-    @raise Invalid_argument on a bad name or label, [max_children <
-    1], an empty label set, a mismatched re-registration, or a name
-    already registered as a plain counter. *)
+val counter_vec : string -> label:string -> counter_vec
+(** Register (or intern) a counter family keyed by [label].
+    Re-registering with the same name, kind and label returns the
+    same family — child ids stay stable.
+    @raise Invalid_argument on a bad name or label, a mismatched
+    re-registration, or a name already registered as a plain
+    counter. *)
 
-val gauge_vec : ?max_children:int -> string -> labels:string list -> gauge_vec
-
-val histogram_vec :
-  ?max_children:int -> string -> labels:string list -> buckets:float array -> histogram_vec
-(** Every child shares [buckets] (validated like {!histogram}). *)
-
-val counter_child : counter_vec -> string list -> counter
-(** Resolve the child for one label-value combination ([O(1)] via a
-    hash-interning table, stable across calls and re-registration).
-    Label values may be any string — they are escaped at encoding
-    time.  Registration-path work: never call on a hot path.
-    @raise Invalid_argument when the value count does not match the
-    family's label count. *)
-
-val gauge_child : gauge_vec -> string list -> gauge
-val histogram_child : histogram_vec -> string list -> histogram
+val gauge_vec : string -> label:string -> gauge_vec
 
 val counter_with_label : counter_vec -> string -> counter
-(** [counter_with_label v x] is [counter_child v [x]] — the common
-    single-label case. *)
+(** Resolve the child for one label value (stable across calls and
+    re-registration).  The value may be any string — it is escaped at
+    encoding time.  Registration-path work (a lock and a registry
+    scan): never call on a hot path. *)
 
 val gauge_with_label : gauge_vec -> string -> gauge
-val histogram_with_label : histogram_vec -> string -> histogram
-
-val vec_cardinality : counter_vec -> int
-(** Number of children currently interned (including a materialized
-    ["other"] child) — at most [max_children + 1]. *)
 
 (** {1 Sinks} *)
 
@@ -243,36 +223,24 @@ val events_lost : recorder -> int
 module Parallel : sig
   type job
 
-  type wait_lanes
-  (** Per-task-index labeled wait gauges, resolved up front and
-      wrapped so callers can keep them in a top-level [let] without
-      exporting a bare mutable array.  The last slot is the shared
-      overflow lane for high task indices. *)
-
-  val wait_lanes : gauge array -> wait_lanes
-  (** Freeze a lane array (copied).
-      @raise Invalid_argument on an empty array. *)
-
   val job_begin :
     span:span ->
     task_span:span ->
     wait_gauge:gauge ->
-    task_wait:wait_lanes option ->
     tasks:int ->
     job option
   (** Open a job span on the submitting domain and preallocate one
       buffer per task.  [None] when not recording — callers keep the
-      uninstrumented fast path.  With [task_wait], task [i]'s queue
-      wait is also recorded as a sample event on lane [i]'s child
-      (the last lane past the array).  Events only — the child's
-      gauge {e cell} is never written, because the cross-domain wait
-      delta is width-dependent under the per-domain tick clock and
-      cells feed the byte-compared readbacks. *)
+      uninstrumented fast path. *)
 
   val task : job -> int -> (unit -> 'a) -> 'a
   (** [task j i f] runs task [i]'s body with its positional buffer
       installed, recording a queue-wait sample ([wait_gauge], ns
-      since [job_begin]) and a [task_span].  Exception-safe. *)
+      since [job_begin]) and a [task_span].  The wait is a trace
+      event only: [wait_gauge]'s cell is never written, because the
+      cross-domain wait is width-dependent under the per-domain tick
+      clock and cells feed the byte-compared readbacks.
+      Exception-safe. *)
 
   val job_end : job -> unit
   (** After the join, on the submitting domain: merge task buffers

@@ -53,12 +53,12 @@ let content_type = "text/plain; version=0.0.4"
 
 let ns_to_s ns = ns /. 1e9
 
-(* Registry names may be encoded labeled children, [base{k="v",...}]
-   (see Obs's labeled families): split at the brace and keep the
-   inner label text verbatim — values were Prometheus-escaped at
-   interning time.  Only the base gets the [metric_name] sanitizer,
-   and type suffixes ([_total], [_bucket], ...) are placed before the
-   label block.  Because readbacks are name-sorted and '{' cannot
+(* Counter and gauge names may be encoded labeled children,
+   [base{key="value"}] (see Obs's labeled families): split at the
+   brace and keep the inner label text verbatim — the value was
+   Prometheus-escaped at interning time.  Only the base gets the
+   [metric_name] sanitizer, and the [_total] suffix is placed before
+   the label block.  Because readbacks are name-sorted and '{' cannot
    appear in plain names, a family's children arrive contiguously and
    in a deterministic order, so HELP/TYPE can be emitted once per
    family by tracking the last family name. *)
@@ -83,22 +83,22 @@ let exposition () =
     Buffer.add_string b typ;
     Buffer.add_char b '\n'
   in
-  let sample ?enc name labels value =
+  (* a sample carries at most one label block: an encoded child's
+     verbatim [key="value"] text, or one [le] / [quantile] pair *)
+  let sample ?enc ?label name value =
     Buffer.add_string b name;
-    (match (enc, labels) with
-    | None, [] -> ()
-    | _ ->
+    (match (enc, label) with
+    | Some inner, _ ->
         Buffer.add_char b '{';
-        (match enc with Some inner -> Buffer.add_string b inner | None -> ());
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 || Option.is_some enc then Buffer.add_char b ',';
-            Buffer.add_string b k;
-            Buffer.add_string b "=\"";
-            Buffer.add_string b (escape_label v);
-            Buffer.add_char b '"')
-          labels;
-        Buffer.add_char b '}');
+        Buffer.add_string b inner;
+        Buffer.add_char b '}'
+    | None, Some (k, v) ->
+        Buffer.add_char b '{';
+        Buffer.add_string b k;
+        Buffer.add_string b "=\"";
+        Buffer.add_string b (escape_label v);
+        Buffer.add_string b "\"}"
+    | None, None -> ());
     Buffer.add_char b ' ';
     Buffer.add_string b value;
     Buffer.add_char b '\n'
@@ -115,30 +115,29 @@ let exposition () =
       let base, enc = split_labels name in
       let full = "dcache_" ^ metric_name base ^ "_total" in
       family full "counter" base;
-      sample ?enc full [] (string_of_int v))
+      sample ?enc full (string_of_int v))
     (Obs.counter_totals ());
   List.iter
     (fun (name, v) ->
       let base, enc = split_labels name in
       let full = "dcache_" ^ metric_name base in
       family full "gauge" base;
-      sample ?enc full [] (fmt_float v))
+      sample ?enc full (fmt_float v))
     (Obs.gauge_values ());
   List.iter
     (fun (name, (edges, counts, sum)) ->
-      let base, enc = split_labels name in
-      let full = "dcache_" ^ metric_name base in
-      family full "histogram" base;
+      let full = "dcache_" ^ metric_name name in
+      family full "histogram" name;
       let cumulative = ref 0 in
       Array.iteri
         (fun i e ->
           cumulative := !cumulative + counts.(i);
-          sample ?enc (full ^ "_bucket") [ ("le", fmt_float e) ] (string_of_int !cumulative))
+          sample ~label:("le", fmt_float e) (full ^ "_bucket") (string_of_int !cumulative))
         edges;
       cumulative := !cumulative + counts.(Array.length edges);
-      sample ?enc (full ^ "_bucket") [ ("le", "+Inf") ] (string_of_int !cumulative);
-      sample ?enc (full ^ "_sum") [] (fmt_float sum);
-      sample ?enc (full ^ "_count") [] (string_of_int !cumulative))
+      sample ~label:("le", "+Inf") (full ^ "_bucket") (string_of_int !cumulative);
+      sample (full ^ "_sum") (fmt_float sum);
+      sample (full ^ "_count") (string_of_int !cumulative))
     (Obs.histogram_dump ());
   (* span-duration summaries, in seconds; a span never entered
      reports NaN quantiles (the Prometheus convention for empty
@@ -153,10 +152,10 @@ let exposition () =
       Array.iteri
         (fun i q ->
           let v = if n = 0 then Float.nan else ns_to_s qv.(i) in
-          sample full [ ("quantile", fmt_float q) ] (fmt_float v))
+          sample ~label:("quantile", fmt_float q) full (fmt_float v))
         quantile_probes;
-      sample (full ^ "_sum") [] (fmt_float (ns_to_s (float_of_int (Histo_log.sum h))));
-      sample (full ^ "_count") [] (string_of_int n))
+      sample (full ^ "_sum") (fmt_float (ns_to_s (float_of_int (Histo_log.sum h))));
+      sample (full ^ "_count") (string_of_int n))
     (Obs.span_durations ());
   Buffer.contents b
 

@@ -25,23 +25,6 @@ let sp_job = Obs.span_name "pool.parallel"
 let sp_task = Obs.span_name "pool.task"
 let g_queue_wait = Obs.gauge "pool.queue_wait_ns"
 
-(* Per-task-index queue-wait lanes: a bounded labeled family with one
-   child per low task index plus the shared overflow lane in the last
-   slot, resolved once here — [Obs.Parallel.task] indexes the array.
-   The children carry sample *events* (labeled lanes in the Chrome
-   trace); their gauge cells are never written — cross-domain waits
-   are width-dependent and cells feed the byte-compared readbacks. *)
-let task_wait_lanes = 16
-
-let v_task_wait =
-  Obs.gauge_vec "pool.task_queue_wait_ns" ~labels:[ "task" ] ~max_children:(task_wait_lanes + 1)
-
-let g_task_wait =
-  Obs.Parallel.wait_lanes
-    (Array.init (task_wait_lanes + 1) (fun i ->
-         Obs.gauge_with_label v_task_wait
-           (if i < task_wait_lanes then string_of_int i else "other")))
-
 type t = {
   lock : Mutex.t;
   ready : Condition.t; (* a new job was posted, or shutdown *)
@@ -209,8 +192,7 @@ let parallel_init ?chunk t n f =
     let nchunks = ((n - 1) / chunk) + 1 in
     let out = Array.make n None in
     let job =
-      Obs.Parallel.job_begin ~span:sp_job ~task_span:sp_task ~wait_gauge:g_queue_wait
-        ~task_wait:(Some g_task_wait) ~tasks:n
+      Obs.Parallel.job_begin ~span:sp_job ~task_span:sp_task ~wait_gauge:g_queue_wait ~tasks:n
     in
     let task =
       match job with

@@ -11,8 +11,8 @@
     bit for bit but cannot reconstruct a schedule.
 
     [dcache audit] replays a trace through this module;
-    [dcache serve-metrics] drives one instance per batch so the
-    [audit.*] metric families update per request. *)
+    [dcache serve-metrics] drives one instance per item per batch so
+    the [audit.*] metric families update per request. *)
 
 module Audit = Dcache_obs.Audit
 
@@ -32,8 +32,6 @@ type report = {
 val create :
   ?window_size:int ->
   ?bound:float ->
-  ?epsilon:float ->
-  ?witness_capacity:int ->
   ?item:string ->
   ?epoch_size:int ->
   ?inflate:float ->
@@ -41,10 +39,10 @@ val create :
   Dcache_core.Cost_model.t ->
   m:int ->
   t
-(** [window_size], [bound], [epsilon], [witness_capacity] and [item]
-    (the stream's label in the per-item [audit.item_*] metric
-    families) go to {!Audit.create}; [epoch_size] to
-    [Online_sc.Incremental.create].
+(** [window_size], [bound] and [item] (the stream's label in the
+    per-item [audit.item_*] metric families) go to {!Audit.create},
+    which keeps its default [epsilon] and witness capacity;
+    [epoch_size] to [Online_sc.Incremental.create].
     [inflate] (default [1.0]) multiplies the online cost {e as
     reported to the auditor} — fault injection for exercising the
     bound monitor: the policy itself is untouched, so [~inflate:4.0]
@@ -76,8 +74,6 @@ val finish : t -> report
 val replay :
   ?window_size:int ->
   ?bound:float ->
-  ?epsilon:float ->
-  ?witness_capacity:int ->
   ?epoch_size:int ->
   ?inflate:float ->
   ?on_window:(Audit.window -> unit) ->

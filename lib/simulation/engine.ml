@@ -15,9 +15,9 @@ let c_evictions = Obs.counter "engine.evictions"
    children resolve once per run (end-of-run accounting, not the
    request loop), under distinct base names so the flat aggregates
    above keep their own Prometheus families *)
-let v_policy_hits = Obs.counter_vec "engine.policy_cache_hits" ~labels:[ "policy" ]
-let v_policy_misses = Obs.counter_vec "engine.policy_cache_misses" ~labels:[ "policy" ]
-let v_policy_transfers = Obs.counter_vec "engine.policy_transfers" ~labels:[ "policy" ]
+let v_policy_hits = Obs.counter_vec "engine.policy_cache_hits" ~label:"policy"
+let v_policy_misses = Obs.counter_vec "engine.policy_cache_misses" ~label:"policy"
+let v_policy_transfers = Obs.counter_vec "engine.policy_transfers" ~label:"policy"
 
 type costs = {
   mu_of : int -> float;

@@ -347,28 +347,25 @@ let prometheus_exposition () =
 let labeled_families () =
   with_recording @@ fun _r ->
   (* child identity: re-registering the family and re-resolving the
-     same label lands on the same cell, whichever handle or resolver
-     is used *)
-  let v = Obs.counter_vec "test.obs.family_clicks" ~labels:[ "item" ] in
+     same label lands on the same cell *)
+  let v = Obs.counter_vec "test.obs.family_clicks" ~label:"item" in
   let a = Obs.counter_with_label v "a" in
-  let v' = Obs.counter_vec "test.obs.family_clicks" ~labels:[ "item" ] in
-  let a' = Obs.counter_child v' [ "a" ] in
+  let v' = Obs.counter_vec "test.obs.family_clicks" ~label:"item" in
+  let a' = Obs.counter_with_label v' "a" in
   Obs.incr a;
   Obs.add a' 4;
   Alcotest.(check int) "child stable across re-registration" 5 (Obs.counter_value a);
-  Alcotest.(check int) "one child interned" 1 (Obs.vec_cardinality v);
-  (* multi-label children are positional in declaration order *)
-  let gv = Obs.gauge_vec "test.obs.family_depth" ~labels:[ "item"; "shard" ] in
-  let g = Obs.gauge_child gv [ "a"; "0" ] in
+  Alcotest.(check (list (pair string int)))
+    "one child interned"
+    [ ("test.obs.family_clicks{item=\"a\"}", 5) ]
+    (List.filter
+       (fun (n, _) -> String.starts_with ~prefix:"test.obs.family_clicks" n)
+       (Obs.counter_totals ()));
+  (* label values are escaped when the child is interned *)
+  let gv = Obs.gauge_vec "test.obs.family_depth" ~label:"item" in
+  let g = Obs.gauge_with_label gv "a\"b" in
   Obs.set_gauge g 2.5;
   check_float "gauge child readback" 2.5 (Obs.gauge_value g);
-  let hv = Obs.histogram_vec "test.obs.family_sizes" ~labels:[ "item" ] ~buckets:[| 1.0; 2.0 |] in
-  let h = Obs.histogram_with_label hv "a" in
-  let h' = Obs.histogram_child hv [ "a" ] in
-  Obs.observe h 1.5;
-  Obs.observe h' 9.0;
-  Alcotest.(check (array int)) "histogram child counts through both handles" [| 0; 1; 1 |]
-    (Obs.histogram_counts h);
   (* encoded children render as real Prometheus labels and the scrape
      still passes the golden 0.0.4 parser *)
   let text = Prom.exposition () in
@@ -376,9 +373,7 @@ let labeled_families () =
     (fun needle -> Alcotest.(check bool) (needle ^ " in exposition") true (contains needle text))
     [
       "dcache_test_obs_family_clicks_total{item=\"a\"} 5";
-      "dcache_test_obs_family_depth{item=\"a\",shard=\"0\"} 2.5";
-      "dcache_test_obs_family_sizes_bucket{item=\"a\",le=\"+Inf\"} 2";
-      "dcache_test_obs_family_sizes_count{item=\"a\"} 2";
+      "dcache_test_obs_family_depth{item=\"a\\\"b\"} 2.5";
     ];
   match Prom.validate text with
   | Ok n -> Alcotest.(check bool) "labeled exposition validates" true (n > 0)
@@ -396,51 +391,47 @@ let labeled_invalid_registrations () =
   Alcotest.(check bool) "reserved '{' in metric name rejected" true
     (bad (fun () -> Obs.counter "bad{name"));
   Alcotest.(check bool) "digit-leading family name rejected" true
-    (bad (fun () -> Obs.counter_vec "0bad" ~labels:[ "item" ]));
+    (bad (fun () -> Obs.counter_vec "0bad" ~label:"item"));
   Alcotest.(check bool) "digit-leading label key rejected" true
-    (bad (fun () -> Obs.counter_vec "test.obs.badkey" ~labels:[ "0item" ]));
+    (bad (fun () -> Obs.counter_vec "test.obs.badkey" ~label:"0item"));
   Alcotest.(check bool) "dotted label key rejected" true
-    (bad (fun () -> Obs.counter_vec "test.obs.badkey2" ~labels:[ "it.em" ]));
-  Alcotest.(check bool) "empty label set rejected" true
-    (bad (fun () -> Obs.counter_vec "test.obs.nolabels" ~labels:[]));
-  Alcotest.(check bool) "max_children < 1 rejected" true
-    (bad (fun () -> Obs.counter_vec "test.obs.nomax" ~labels:[ "item" ] ~max_children:0));
-  (* one base name, one shape: kind, keys and buckets must agree *)
-  ignore (Obs.counter_vec "test.obs.vkind" ~labels:[ "item" ]);
+    (bad (fun () -> Obs.counter_vec "test.obs.badkey2" ~label:"it.em"));
+  Alcotest.(check bool) "empty label key rejected" true
+    (bad (fun () -> Obs.counter_vec "test.obs.nolabels" ~label:""));
+  (* one base name, one shape: kind and key must agree *)
+  ignore (Obs.counter_vec "test.obs.vkind" ~label:"item");
   Alcotest.(check bool) "kind mismatch on re-registration rejected" true
-    (bad (fun () -> Obs.gauge_vec "test.obs.vkind" ~labels:[ "item" ]));
-  Alcotest.(check bool) "label-set mismatch on re-registration rejected" true
-    (bad (fun () -> Obs.counter_vec "test.obs.vkind" ~labels:[ "shard" ]));
-  ignore (Obs.histogram_vec "test.obs.vbuckets" ~labels:[ "item" ] ~buckets:[| 1.0; 2.0 |]);
-  Alcotest.(check bool) "bucket mismatch on re-registration rejected" true
-    (bad (fun () -> Obs.histogram_vec "test.obs.vbuckets" ~labels:[ "item" ] ~buckets:[| 1.0 |]));
+    (bad (fun () -> Obs.gauge_vec "test.obs.vkind" ~label:"item"));
+  Alcotest.(check bool) "label mismatch on re-registration rejected" true
+    (bad (fun () -> Obs.counter_vec "test.obs.vkind" ~label:"shard"));
   (* plain metric and same-kind family cannot share a base name, from
      either registration order *)
   ignore (Obs.counter "test.obs.vplain");
   Alcotest.(check bool) "family over an existing plain counter rejected" true
-    (bad (fun () -> Obs.counter_vec "test.obs.vplain" ~labels:[ "item" ]));
-  ignore (Obs.counter_vec "test.obs.vfam" ~labels:[ "item" ]);
+    (bad (fun () -> Obs.counter_vec "test.obs.vplain" ~label:"item"));
+  ignore (Obs.counter_vec "test.obs.vfam" ~label:"item");
   Alcotest.(check bool) "plain counter over an existing family rejected" true
-    (bad (fun () -> Obs.counter "test.obs.vfam"));
-  (* resolution arity is the declared key count *)
-  let v = Obs.counter_vec "test.obs.varity" ~labels:[ "item" ] in
-  Alcotest.(check bool) "resolve arity mismatch rejected" true
-    (bad (fun () -> Obs.counter_child v [ "a"; "b" ]))
+    (bad (fun () -> Obs.counter "test.obs.vfam"))
 
 let labeled_overflow_bounded () =
   with_recording @@ fun _r ->
   let ovf () = Obs.counter_value (Obs.counter "obs.label_overflow") in
   let ovf0 = ovf () in
-  let v = Obs.counter_vec "test.obs.ovf" ~labels:[ "item" ] ~max_children:3 in
-  let children = List.init 10 (fun i -> Obs.counter_with_label v (Printf.sprintf "i%d" i)) in
+  let v = Obs.counter_vec "test.obs.ovf" ~label:"item" in
+  let children = List.init 70 (fun i -> Obs.counter_with_label v (Printf.sprintf "i%d" i)) in
   List.iter Obs.incr children;
-  (* 3 genuine children plus the reserved catch-all, never more *)
-  Alcotest.(check int) "cardinality capped at k+1" 4 (Obs.vec_cardinality v);
-  Alcotest.(check int) "each over-cap resolution counted" 7 (ovf () - ovf0);
-  (* the 7 collapsed labels all landed on the same reserved cell *)
+  (* 64 genuine children plus the reserved catch-all, never more *)
+  let family =
+    List.filter (fun (n, _) -> String.starts_with ~prefix:"test.obs.ovf{" n) (Obs.counter_totals ())
+  in
+  Alcotest.(check int) "cardinality capped at 64 + 1" 65 (List.length family);
+  Alcotest.(check (option int)) "the catch-all is \"other\"" (Some 6)
+    (List.assoc_opt "test.obs.ovf{item=\"other\"}" family);
+  Alcotest.(check int) "each over-cap resolution counted" 6 (ovf () - ovf0);
+  (* the 6 collapsed labels all landed on the same reserved cell *)
   let other = Obs.counter_with_label v "other" in
-  Alcotest.(check int) "collapsed bumps accumulate in \"other\"" 7 (Obs.counter_value other);
-  Alcotest.(check int) "re-resolving \"other\" is not an overflow" 7 (ovf () - ovf0);
+  Alcotest.(check int) "collapsed bumps accumulate in \"other\"" 6 (Obs.counter_value other);
+  Alcotest.(check int) "re-resolving \"other\" is not an overflow" 6 (ovf () - ovf0);
   (* genuine children are untouched by the collapse *)
   Alcotest.(check int) "genuine child keeps its own count" 1
     (Obs.counter_value (List.nth children 0));
@@ -460,7 +451,7 @@ let labeled_sweep pool =
   Fun.protect
     ~finally:(fun () -> Obs.set_sink Obs.Noop)
     (fun () ->
-      let v = Obs.counter_vec "test.obs.shard_hits" ~labels:[ "shard" ] in
+      let v = Obs.counter_vec "test.obs.shard_hits" ~label:"shard" in
       let shards = Array.init 4 (fun s -> Obs.counter_with_label v (string_of_int s)) in
       let _ =
         Pool.parallel_init pool 32 (fun i ->
@@ -479,6 +470,38 @@ let labeled_exposition_width_independent () =
   match Prom.validate e1 with
   | Ok n -> Alcotest.(check bool) "labeled scrape validates" true (n > 0)
   | Error e -> Alcotest.failf "labeled exposition invalid: %s" e
+
+(* A pool job records each task's queue wait once, on the task's own
+   track, as a [pool.queue_wait_ns] sample event, and /metrics carries
+   no per-task wait family.  Width 4, 8 tasks, tick clock. *)
+let pool_job_trace () =
+  with_recording @@ fun r ->
+  ignore (Pool.parallel_init pool4 8 (fun i -> i) : int array);
+  (Obs.chrome_json r, Prom.exposition ())
+
+let pool_trace_one_wait_sample_per_task () =
+  let json, _ = pool_job_trace () in
+  match Bench_json.(to_list (member "traceEvents" (Result.get_ok (of_string json)))) with
+  | None -> Alcotest.fail "traceEvents missing"
+  | Some events ->
+      let waits_on track =
+        List.length
+          (List.filter
+             (fun e ->
+               Bench_json.(to_str (member "ph" e)) = Some "C"
+               && Bench_json.(to_float (member "tid" e)) = Some (float_of_int track)
+               && contains "queue_wait" (Option.value ~default:"" Bench_json.(to_str (member "name" e))))
+             events)
+      in
+      for task = 0 to 7 do
+        Alcotest.(check int) (Printf.sprintf "task %d: one queue-wait sample" task) 1
+          (waits_on (task + 1))
+      done
+
+let pool_exposition_has_no_lane_gauges () =
+  let _, text = pool_job_trace () in
+  Alcotest.(check bool) "no pool_task_queue_wait_ns family" false
+    (contains "pool_task_queue_wait_ns" text)
 
 (* the tightened validator: per-sample duplicate label keys and
    per-family label-set drift are rejected, consistent labeled
@@ -753,6 +776,8 @@ let suite =
     case "obs: labeled registration rejects bad shapes" labeled_invalid_registrations;
     case "obs: labeled cardinality bounded with overflow accounting" labeled_overflow_bounded;
     case "obs: labeled exposition is width-independent" labeled_exposition_width_independent;
+    case "obs: pool trace has one queue-wait sample per task" pool_trace_one_wait_sample_per_task;
+    case "obs: pool exposition has no per-task wait gauges" pool_exposition_has_no_lane_gauges;
     case "obs: validator enforces label discipline" validate_label_discipline;
     case "obs: flight-recorder ring and gating" flight_recorder_ring;
     case "obs: timeline export is width-independent" timeline_is_width_independent;

@@ -316,7 +316,7 @@ let test_stats_populated () =
 (* version pins: forgetting to bump either stamp when rule semantics
    change is the cache-staleness failure mode — fail loudly here *)
 let test_version_pins () =
-  Alcotest.(check string) "analyzer version" "11" Sema_rules.analyzer_version;
+  Alcotest.(check string) "analyzer version" "12" Sema_rules.analyzer_version;
   Alcotest.(check int) "cache format version" 5 Sema_cache.version
 
 (* witness chains surface in SARIF as codeFlows/relatedLocations and

@@ -18,7 +18,7 @@ module F = Report_finding
    every unit digest, so a rules update invalidates the incremental
    cache wholesale and stale cached analyses cannot mask new
    findings. *)
-let analyzer_version = "11"
+let analyzer_version = "12"
 
 let catalog =
   [
@@ -36,7 +36,7 @@ let catalog =
     ( "S5",
       "observability discipline: a Recording sink constructed, a Recorder ring / Prometheus \
        endpoint / Audit state created, or a labeled metric child resolved \
-       (Obs.*_with_label/*_child), inside a [@@hot] body" );
+       (Obs.counter_with_label/gauge_with_label), inside a [@@hot] body" );
     ( "S6",
       "generator purity: a lib/workload generator must be a deterministic function of \
        (seed, spec), transitively through its callees" );
@@ -275,16 +275,13 @@ let s5_setup_call = function
   | ("Recorder", "create") | ("Prometheus", "listen") | ("Audit", "create") -> true
   | _ -> false
 
-(* Child resolution on a labeled family is a hash-interning step under
+(* Child resolution on a labeled family is an interning step under
    the registry lock; a hot body doing it per call is paying the
    lookup the vec API exists to hoist.  Matched like [s5_setup_call]:
    the last two components of the resolved path, so a local [Obs] shim
    in fixtures keys the same as [Dcache_obs.Obs]. *)
 let s5_resolve_call = function
-  | ( "Obs",
-      ( "counter_with_label" | "gauge_with_label" | "histogram_with_label" | "counter_child"
-      | "gauge_child" | "histogram_child" ) ) ->
-      true
+  | "Obs", ("counter_with_label" | "gauge_with_label") -> true
   | _ -> false
 
 let is_sink_type ty =
