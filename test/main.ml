@@ -4,6 +4,7 @@ let () =
       ("prelude", Test_prelude.suite);
       ("pool", Test_pool.suite);
       ("core-types", Test_core_types.suite);
+      ("validate", Test_validate.suite);
       ("offline-dp", Test_offline.suite);
       ("online-sc", Test_online.suite);
       ("baselines", Test_baselines.suite);
