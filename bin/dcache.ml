@@ -555,6 +555,7 @@ let serve_metrics_cmd =
     let item_labels = Array.init items (Printf.sprintf "item%d") in
     let g_item_opt = Array.map (Obs.gauge_with_label v_item_opt) item_labels in
     let g_item_ratio = Array.map (Obs.gauge_with_label v_item_ratio) item_labels in
+    let audit_items = Array.map Dcache_obs.Audit.item item_labels in
     let per_item = batch_size / items in
     let batch i =
       let online_total = ref 0.0 and opt_total = ref 0.0 in
@@ -575,7 +576,7 @@ let serve_metrics_cmd =
            (prefix/window ratios, regret quantiles, the Theorem-3
            bound monitor) and this item's audit.item_* children update
            live — no per-batch re-solve *)
-        let auditor = Dcache_sim.Auditor.create model ~m ~item:item_labels.(k) in
+        let auditor = Dcache_sim.Auditor.create model ~m ~item_cells:audit_items.(k) in
         for j = 1 to Sequence.n seq do
           Dcache_sim.Auditor.feed auditor ~server:(Sequence.server seq j)
             ~time:(Sequence.time seq j)

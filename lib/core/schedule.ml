@@ -81,6 +81,90 @@ let union a b = make ~caches:(a.caches @ b.caches) ~transfers:(a.transfers @ b.t
 
 let eq = Dcache_prelude.Float_cmp.approx_eq
 
+(* [eq a t] implies |a - t| <= eps * max(1, |a|, |t|) < 2 eps * max(1, |t|),
+   so every piece time that can [eq] [t] lies in [t -. window t, t +. window t].
+   The sweeps below skip what lies before that window for good (later
+   lookups are at larger times) and apply the exact [eq] test inside it. *)
+let[@inline] window t =
+  2.0 *. Dcache_prelude.Float_cmp.default_eps *. if Float.abs t > 1.0 then Float.abs t else 1.0
+
+(* The sweeps walk the sorted piece lists with plain recursive functions
+   whose float arguments are record fields, so no float is boxed per
+   step. *)
+
+(* Drops the head of a time-sorted transfer list that ends before
+   [time]'s window. *)
+let rec transfers_from l time =
+  match l with tr :: rest when tr.time < time -. window time -> transfers_from rest time | _ -> l
+
+(* Some transfer to [dst] in the window at the head of [l] ends at [eq]
+   [time]. *)
+let rec transfer_at l dst time =
+  match l with
+  | tr :: rest when tr.time <= time +. window time ->
+      (tr.dst = dst && eq tr.time time) || transfer_at rest dst time
+  | _ -> false
+
+(* Drops the caches of [server] whose end lies before [time]'s window,
+   from the head of a list where that server's ends never decrease. *)
+let rec ends_from l server time =
+  match l with
+  | c :: rest when c.server = server && c.to_time < time -. window time -> ends_from rest server time
+  | _ -> l
+
+(* Some cache of [server] in the window at the head of [l] (ends sorted)
+   ends at [eq] [time]. *)
+let rec end_at l server time =
+  match l with
+  | c :: rest when c.server = server && c.to_time <= time +. window time ->
+      eq c.to_time time || end_at rest server time
+  | _ -> false
+
+(* The same question over the whole run of [server] at the head of [l],
+   for runs whose ends are not sorted. *)
+let rec end_in_run l server time =
+  match l with
+  | c :: rest when c.server = server -> eq c.to_time time || end_in_run rest server time
+  | _ -> false
+
+(* Some cache of [server] at the head of [l] starts after [time] but at
+   [eq] [time]. *)
+let rec start_at l server time =
+  match l with
+  | c :: rest when c.server = server && c.from_time <= time +. window time ->
+      eq c.from_time time || start_at rest server time
+  | _ -> false
+
+let rec ends_sorted server prev = function
+  | c :: rest when c.server = server -> prev <= c.to_time && ends_sorted server c.to_time rest
+  | _ -> true
+
+let no_cache = { server = -1; from_time = neg_infinity; to_time = neg_infinity }
+
+(* Per-server cursors over the (server, start)-sorted cache list:
+   [heads.(s)] is the first cache of [s] not yet passed, [reach.(s)]
+   the passed cache of [s] with the latest end.  Lookups on one server
+   come at non-decreasing times, so a cursor only moves forward. *)
+let reset_cursors heads reach caches =
+  Array.fill reach 0 (Array.length reach) no_cache;
+  let m = Array.length heads in
+  let rec index prev = function
+    | [] -> ()
+    | c :: rest as l ->
+        if c.server <> prev && c.server < m then heads.(c.server) <- l;
+        index c.server rest
+  in
+  Array.fill heads 0 m [];
+  index (-1) caches
+
+(* Passes the caches of [server] that start at or before [time]. *)
+let rec advance heads reach server time l =
+  match l with
+  | c :: rest when c.server = server && c.from_time <= time ->
+      if c.to_time > reach.(server).to_time then reach.(server) <- c;
+      advance heads reach server time rest
+  | _ -> heads.(server) <- l
+
 let validate seq t =
   let errors = ref [] in
   let err fmt = Format.kasprintf (fun s -> errors := s :: !errors) fmt in
@@ -112,48 +196,70 @@ let validate seq t =
     | [ _ ] | [] -> ()
   in
   check_overlaps t.caches;
-  (* provenance: every cache interval must begin where a copy exists *)
-  let incoming_transfer_at server time =
-    List.exists (fun tr -> tr.dst = server && eq tr.time time) t.transfers
-  in
-  let preceding_cache_at server time =
-    List.exists (fun c -> c.server = server && eq c.to_time time) t.caches
-  in
+  (* provenance: every cache interval must begin where a copy exists —
+     at time 0 on s0, at an incoming transfer, or at the end of a cache
+     on the same server.  One run of caches per server, walked with a
+     cursor over that server's incoming transfers (time-sorted) and one
+     over the run's ends. *)
+  let incoming = Array.make m [] in
   List.iter
-    (fun c ->
-      let sourced =
-        (c.server = 0 && eq c.from_time 0.0)
-        || incoming_transfer_at c.server c.from_time
-        || preceding_cache_at c.server c.from_time
-      in
-      if not sourced then
-        err "unsourced cache on s%d starting at %g" c.server c.from_time)
-    t.caches;
+    (fun tr -> if tr.dst < m then incoming.(tr.dst) <- tr :: incoming.(tr.dst))
+    (List.rev t.transfers);
+  let rec provenance = function
+    | [] -> ()
+    | c :: rest as run ->
+        let s = c.server in
+        let sorted = ends_sorted s c.to_time rest in
+        let rec sweep arrivals ends = function
+          | c :: rest when c.server = s ->
+              let f = c.from_time in
+              let arrivals = transfers_from arrivals f and ends = ends_from ends s f in
+              let sourced =
+                (s = 0 && eq f 0.0)
+                || (if s < m then transfer_at arrivals s f
+                    else List.exists (fun tr -> tr.dst = s && eq tr.time f) t.transfers)
+                || if sorted then end_at ends s f else end_in_run run s f
+              in
+              if not sourced then err "unsourced cache on s%d starting at %g" s f;
+              sweep arrivals ends rest
+          | l -> l
+        in
+        provenance (sweep (if s < m then incoming.(s) else []) run run)
+  in
+  provenance t.caches;
   (* transfers must depart from a copy holder *)
+  let heads = Array.make m [] and reach = Array.make m no_cache in
+  reset_cursors heads reach t.caches;
   List.iter
     (fun tr ->
       match tr.src with
       | From_external -> ()
       | From_server s ->
           let holder =
-            holds_copy_at t ~server:s ~time:tr.time || (s = 0 && eq tr.time 0.0)
+            (s = 0 && eq tr.time 0.0)
+            ||
+            if s < m then begin
+              advance heads reach s tr.time heads.(s);
+              tr.time <= reach.(s).to_time
+            end
+            else holds_copy_at t ~server:s ~time:tr.time
           in
           if not holder then
             err "transfer at %g departs from s%d which holds no copy" tr.time s)
     t.transfers;
-  (* every request is served *)
+  (* every request is served: a cache on its server covers it (a passed
+     cache reaching it, or one starting within eps after it), or a
+     transfer to its server ends at it *)
+  reset_cursors heads reach t.caches;
+  let pending = ref t.transfers in
   for i = 1 to Sequence.n seq do
     let s = Sequence.server seq i and ti = Sequence.time seq i in
-    let by_cache =
-      List.exists
-        (fun c ->
-          c.server = s
-          && (c.from_time < ti || eq c.from_time ti)
-          && (ti < c.to_time || eq c.to_time ti))
-        t.caches
-    in
-    let by_transfer = List.exists (fun tr -> tr.dst = s && eq tr.time ti) t.transfers in
-    if not (by_cache || by_transfer) then err "request r%d at (s%d, %g) is not served" i s ti
+    advance heads reach s ti heads.(s);
+    let last = reach.(s).to_time in
+    let by_cache = ti < last || eq last ti || start_at heads.(s) s ti in
+    pending := transfers_from !pending ti;
+    if not (by_cache || transfer_at !pending s ti) then
+      err "request r%d at (s%d, %g) is not served" i s ti
   done;
   (* coverage of [0, horizon] by the union of cache intervals *)
   if horizon > 0. then begin
@@ -181,15 +287,23 @@ let validate_exn seq t =
 
 let is_standard_form seq t =
   let n = Sequence.n seq in
-  let is_request dst time =
-    let rec scan i =
-      if i > n then false
-      else if Sequence.server seq i = dst && eq (Sequence.time seq i) time then true
-      else scan (i + 1)
-    in
-    scan 1
+  (* transfers and requests are both time-sorted: one cursor over the
+     requests, skipping those before each transfer's eq window *)
+  let rec first_from j time =
+    if j <= n && Sequence.time seq j < time -. window time then first_from (j + 1) time else j
   in
-  List.for_all (fun tr -> is_request tr.dst tr.time) t.transfers
+  let rec request_at j dst time =
+    j <= n
+    && Sequence.time seq j <= time +. window time
+    && ((Sequence.server seq j = dst && eq (Sequence.time seq j) time) || request_at (j + 1) dst time)
+  in
+  let rec ends_on_requests j = function
+    | [] -> true
+    | tr :: rest ->
+        let j = first_from j tr.time in
+        request_at j tr.dst tr.time && ends_on_requests j rest
+  in
+  ends_on_requests 1 t.transfers
 
 (* -- rendering ----------------------------------------------------------- *)
 

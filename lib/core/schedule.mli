@@ -65,7 +65,18 @@ val validate : Sequence.t -> t -> (unit, string list) result
 (** All feasibility constraints above.  Also rejects overlapping cache
     intervals on one server (double caching a single item is never
     minimal) and caching beyond the horizon [t_n] (dead-end caches).
-    Returns every violated constraint, not just the first.
+    Returns every violated constraint, not just the first, grouped
+    by constraint in this order: unknown servers and pieces beyond
+    the horizon, overlaps, unsourced caches, transfers from
+    non-holders, unserved requests, the first coverage gap.
+
+    [O(n + k + m)] for [k] pieces on a valid schedule, plus the
+    [O(k log k)] coverage merge: forward sweeps over the sorted piece
+    lists with per-server cursors, allocating [O(m)] words of cursor
+    arrays and [O(k)] list cells.  Two inputs take a scan instead,
+    both already reported as errors: lookups on a server [>= m] scan
+    every piece, and a server whose caches nest (ends not sorted by
+    start) scans its own caches for each of them.
     @raise Invalid_argument if a piece is structurally malformed
     (negative server, non-finite or reversed interval endpoints): only
     well-formed pieces get the [result] verdict. *)
@@ -82,7 +93,9 @@ val validate_exn : Sequence.t -> t -> unit
 
 val is_standard_form : Sequence.t -> t -> bool
 (** Observation 1: every transfer ends on a request, i.e. its
-    [(dst, time)] coincides with some [(s_i, t_i)]. *)
+    [(dst, time)] coincides with some [(s_i, t_i)] (times compared
+    with [Float_cmp.approx_eq]).  One merge of the time-sorted
+    transfers against the requests: [O(n + k)]. *)
 
 val render : Sequence.t -> t -> string
 (** ASCII space-time diagram (one row per server: [=] cached, [*]

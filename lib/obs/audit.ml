@@ -19,6 +19,14 @@ let h_window_ratios =
 let v_item_window_ratio = Obs.gauge_vec "audit.item_window_ratio" ~label:"item"
 let v_item_windows = Obs.counter_vec "audit.item_windows" ~label:"item"
 
+type item = { item_ratio : Obs.gauge; item_windows : Obs.counter }
+
+let item name =
+  {
+    item_ratio = Obs.gauge_with_label v_item_window_ratio name;
+    item_windows = Obs.counter_with_label v_item_windows name;
+  }
+
 (* Regret quantiles ride the span-duration histograms (the one
    Histo_log surface already exported to Prometheus summaries and the
    flight recorder).  Unit: nano-cost — 1 cost unit = 1e9 ticks — so
@@ -70,15 +78,14 @@ type t = {
   wit : witness option array;  (* ring, most recent kept *)
   mutable wit_pos : int;
   mutable flushed : bool;
-  (* labeled children for this stream's item, resolved at [create] *)
-  item_ratio : Obs.gauge option;
-  item_windows : Obs.counter option;
+  (* labeled children for this stream's item, resolved before [observe] *)
+  item_cells : item option;
 }
 
 let ratio ~online ~opt = if opt > 0.0 then online /. opt else 1.0
 
-let create ?(window_size = 64) ?(bound = 3.0) ?(epsilon = 1e-6) ?(witness_capacity = 16) ?item ()
-    =
+let create ?(window_size = 64) ?(bound = 3.0) ?(epsilon = 1e-6) ?(witness_capacity = 16)
+    ?item:name ?item_cells () =
   if window_size < 1 then invalid_arg "Audit.create: window_size must be positive";
   if not (bound > 0.0) then invalid_arg "Audit.create: bound must be positive";
   if epsilon < 0.0 then invalid_arg "Audit.create: epsilon must be non-negative";
@@ -105,8 +112,7 @@ let create ?(window_size = 64) ?(bound = 3.0) ?(epsilon = 1e-6) ?(witness_capaci
     wit = Array.make witness_capacity None;
     wit_pos = 0;
     flushed = false;
-    item_ratio = Option.map (Obs.gauge_with_label v_item_window_ratio) item;
-    item_windows = Option.map (Obs.counter_with_label v_item_windows) item;
+    item_cells = (match item_cells with Some _ -> item_cells | None -> Option.map item name);
   }
 
 let close_window t =
@@ -131,8 +137,11 @@ let close_window t =
     Obs.set_gauge g_window_regret regret;
     Obs.observe h_window_ratios r;
     Obs.observe_span_ns sp_window_regret (regret_ticks regret);
-    (match t.item_windows with Some c -> Obs.incr c | None -> ());
-    match t.item_ratio with Some g -> Obs.set_gauge g r | None -> ()
+    match t.item_cells with
+    | Some cells ->
+        Obs.incr cells.item_windows;
+        Obs.set_gauge cells.item_ratio r
+    | None -> ()
   end
 
 let observe t ~online ~opt =

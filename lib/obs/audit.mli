@@ -51,12 +51,23 @@ val ratio : online:float -> opt:float -> float
     optimum is nothing, so 1.0 is the honest report and never leaves
     a stale reading behind). *)
 
+type item
+(** One stream's children in the labeled [audit.item_window_ratio] /
+    [audit.item_windows] families. *)
+
+val item : string -> item
+(** Resolves the named item's two children (registry lock, name
+    encoding, registry lookup).  A caller that audits the same item
+    over and over resolves it once and passes the result as
+    [~item_cells] to each {!create}. *)
+
 val create :
   ?window_size:int ->
   ?bound:float ->
   ?epsilon:float ->
   ?witness_capacity:int ->
   ?item:string ->
+  ?item_cells:item ->
   unit ->
   t
 (** [window_size] requests per regret window (default [64]);
@@ -72,8 +83,9 @@ val create :
     child and bumps its window counter.  The children are resolved
     here, once — the observe path stays allocation-free — and
     cardinality is bounded by the family cap (past it, items collapse
-    into the ["other"] child).  Without [item] only the unlabeled
-    aggregates are touched.
+    into the ["other"] child).  [item_cells] gives the children
+    already resolved by {!item} and takes precedence over [item].
+    Without either only the unlabeled aggregates are touched.
     @raise Invalid_argument if [window_size < 1], [bound <= 0.],
     [epsilon < 0.], or [witness_capacity < 1]. *)
 

@@ -97,6 +97,12 @@ let g_cells : float array ref = ref [||]
 
 let s_names = ref [||]
 
+(* Names of trace-only samples: events in the ring, no cell, so they
+   stay out of every readback and scrape. *)
+type sample = int
+
+let t_names = ref [||]
+
 (* One log-scale duration histogram per span, created at
    registration: [spanned] records end-minus-begin into it, so
    quantile telemetry rides the spans that already exist.  Bucket
@@ -207,6 +213,15 @@ let span_name name =
           append s_names name;
           append s_histos (Histo_log.create ());
           Array.length !s_names - 1)
+
+let sample_name name =
+  check_name "sample_name" name;
+  locked (fun () ->
+      match find_name !t_names name with
+      | Some id -> id
+      | None ->
+          append t_names name;
+          Array.length !t_names - 1)
 
 let histogram name ~buckets =
   if Array.length buckets = 0 then invalid_arg "Obs.histogram: need at least one bucket edge";
@@ -323,7 +338,8 @@ let gauge_with_label = resolve
 
 let tag_begin = 0
 let tag_end = 1
-let tag_sample = 2
+let tag_sample = 2 (* a gauge write; the name is a gauge *)
+let tag_trace_sample = 3 (* the name is a [sample] *)
 
 type buf = {
   b_clock : Clock.t;
@@ -566,7 +582,7 @@ module Parallel = struct
   type job = {
     j_span : span;
     j_task_span : span;
-    j_wait_gauge : gauge;
+    j_wait_sample : sample;
     j_post_ns : int;
     j_bufs : buf array;
     j_rec : recorder;
@@ -578,7 +594,7 @@ module Parallel = struct
      oldest events and is counted, like the main ring. *)
   let task_capacity = 64
 
-  let job_begin ~span:sp ~task_span ~wait_gauge ~tasks =
+  let job_begin ~span:sp ~task_span ~wait_sample ~tasks =
     if not state.recording then None
     else
       match state.current with
@@ -592,7 +608,7 @@ module Parallel = struct
             {
               j_span = sp;
               j_task_span = task_span;
-              j_wait_gauge = wait_gauge;
+              j_wait_sample = wait_sample;
               j_post_ns = Clock.now r.r_clock;
               j_bufs = bufs;
               j_rec = r;
@@ -603,7 +619,7 @@ module Parallel = struct
     let saved = Domain.DLS.get current_buf in
     Domain.DLS.set current_buf (Some b);
     let started = Clock.now b.b_clock in
-    put b tag_sample j.j_wait_gauge started (float_of_int (started - j.j_post_ns));
+    put b tag_trace_sample j.j_wait_sample started (float_of_int (started - j.j_post_ns));
     put b tag_begin j.j_task_span started 0.0;
     let restore () =
       let ended = Clock.now b.b_clock in
@@ -734,7 +750,7 @@ let chrome_json r =
       else
         event
           [
-            ("name", str (name_of !g_names name));
+            ("name", str (name_of (if tag = tag_sample then !g_names else !t_names) name));
             ("ph", str "C");
             ("ts", num (us_of_ns ts));
             ("pid", "1");

@@ -41,9 +41,15 @@ type span
     {!Parallel.task} and {!observe_span_ns} — quantile telemetry
     rides the spans that already exist. *)
 
+type sample
+(** Interned name of a trace-only sample (see {!Parallel.task}): a
+    value recorded as a counter event on the trace track, with no
+    cell, so it appears in no readback and no [/metrics] scrape. *)
+
 val counter : string -> counter
 val gauge : string -> gauge
 val span_name : string -> span
+val sample_name : string -> sample
 
 val histogram : string -> buckets:float array -> histogram
 (** [buckets] are upper bucket edges, strictly increasing; a value
@@ -226,7 +232,7 @@ module Parallel : sig
   val job_begin :
     span:span ->
     task_span:span ->
-    wait_gauge:gauge ->
+    wait_sample:sample ->
     tasks:int ->
     job option
   (** Open a job span on the submitting domain and preallocate one
@@ -235,11 +241,11 @@ module Parallel : sig
 
   val task : job -> int -> (unit -> 'a) -> 'a
   (** [task j i f] runs task [i]'s body with its positional buffer
-      installed, recording a queue-wait sample ([wait_gauge], ns
+      installed, recording a queue-wait sample ([wait_sample], ns
       since [job_begin]) and a [task_span].  The wait is a trace
-      event only: [wait_gauge]'s cell is never written, because the
-      cross-domain wait is width-dependent under the per-domain tick
-      clock and cells feed the byte-compared readbacks.
+      event only, never a cell: the cross-domain wait is
+      width-dependent under the per-domain tick clock, and cells feed
+      the byte-compared readbacks.
       Exception-safe. *)
 
   val job_end : job -> unit

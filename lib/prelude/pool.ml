@@ -16,14 +16,15 @@
 module Obs = Dcache_obs.Obs
 
 (* Trace probes: one span for the whole parallel region, one per
-   task, and a queue-wait gauge (ns between job post and task start).
+   task, and a trace-only queue-wait sample (ns between job post and
+   task start; no /metrics family).
    Task events land in positional per-task buffers keyed by element
    index — never by chunk or domain, both of which depend on the
    domain count — so the merged trace has the same structure at any
    width.  All of it is dead (a [None] job) under the Noop sink. *)
 let sp_job = Obs.span_name "pool.parallel"
 let sp_task = Obs.span_name "pool.task"
-let g_queue_wait = Obs.gauge "pool.queue_wait_ns"
+let t_queue_wait = Obs.sample_name "pool.queue_wait_ns"
 
 type t = {
   lock : Mutex.t;
@@ -192,7 +193,7 @@ let parallel_init ?chunk t n f =
     let nchunks = ((n - 1) / chunk) + 1 in
     let out = Array.make n None in
     let job =
-      Obs.Parallel.job_begin ~span:sp_job ~task_span:sp_task ~wait_gauge:g_queue_wait ~tasks:n
+      Obs.Parallel.job_begin ~span:sp_job ~task_span:sp_task ~wait_sample:t_queue_wait ~tasks:n
     in
     let task =
       match job with

@@ -20,12 +20,12 @@ type report = {
   run : Online_sc.run;
 }
 
-let create ?window_size ?bound ?item ?epoch_size ?(inflate = 1.0) ?on_window model ~m =
+let create ?window_size ?bound ?item ?item_cells ?epoch_size ?(inflate = 1.0) ?on_window model ~m =
   if not (inflate > 0.0) then invalid_arg "Auditor.create: inflate must be positive";
   {
     inc = Online_sc.Incremental.create ?epoch_size model ~m;
     opt = Streaming_dp.Cost.create model ~m;
-    audit = Audit.create ?window_size ?bound ?item ();
+    audit = Audit.create ?window_size ?bound ?item ?item_cells ();
     inflate;
     on_window;
   }

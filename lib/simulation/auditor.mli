@@ -33,14 +33,16 @@ val create :
   ?window_size:int ->
   ?bound:float ->
   ?item:string ->
+  ?item_cells:Audit.item ->
   ?epoch_size:int ->
   ?inflate:float ->
   ?on_window:(Audit.window -> unit) ->
   Dcache_core.Cost_model.t ->
   m:int ->
   t
-(** [window_size], [bound] and [item] (the stream's label in the
-    per-item [audit.item_*] metric families) go to {!Audit.create},
+(** [window_size], [bound], [item] (the stream's label in the
+    per-item [audit.item_*] metric families) and [item_cells] (that
+    label's children, resolved once by {!Audit.item}) go to {!Audit.create},
     which keeps its default [epsilon] and witness capacity;
     [epoch_size] to [Online_sc.Incremental.create].
     [inflate] (default [1.0]) multiplies the online cost {e as

@@ -420,6 +420,9 @@ let serve_metrics_exports_audit_families () =
           "dcache_audit_prefix_ratio";
           "dcache_serve_sc_vs_opt";
           "dcache_serve_item_sc_vs_opt{item=\"item0\"}";
+          (* set through the item's cells resolved once at startup *)
+          "dcache_audit_item_windows_total{item=\"item0\"}";
+          "dcache_audit_item_window_ratio{item=\"item0\"}";
         ];
       (* the per-item optimum comes from the auditor; nothing re-solves
          an item through the memo cache *)

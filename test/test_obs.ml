@@ -503,6 +503,15 @@ let pool_exposition_has_no_lane_gauges () =
   Alcotest.(check bool) "no pool_task_queue_wait_ns family" false
     (contains "pool_task_queue_wait_ns" text)
 
+(* The queue wait is a trace-only sample: no gauge cell, so no
+   readback or scrape carries a constant-zero pool.queue_wait_ns. *)
+let pool_queue_wait_is_trace_only () =
+  let _, text = pool_job_trace () in
+  Alcotest.(check bool) "no dcache_pool_queue_wait_ns family" false
+    (contains "dcache_pool_queue_wait_ns" text);
+  Alcotest.(check bool) "no pool.queue_wait_ns gauge" false
+    (List.mem_assoc "pool.queue_wait_ns" (Obs.gauge_values ()))
+
 (* the tightened validator: per-sample duplicate label keys and
    per-family label-set drift are rejected, consistent labeled
    families pass *)
@@ -778,6 +787,7 @@ let suite =
     case "obs: labeled exposition is width-independent" labeled_exposition_width_independent;
     case "obs: pool trace has one queue-wait sample per task" pool_trace_one_wait_sample_per_task;
     case "obs: pool exposition has no per-task wait gauges" pool_exposition_has_no_lane_gauges;
+    case "obs: pool queue wait is trace-only" pool_queue_wait_is_trace_only;
     case "obs: validator enforces label discipline" validate_label_discipline;
     case "obs: flight-recorder ring and gating" flight_recorder_ring;
     case "obs: timeline export is width-independent" timeline_is_width_independent;

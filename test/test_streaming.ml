@@ -198,6 +198,48 @@ let time_scale_invariance =
         (Offline_dp.cost (Offline_dp.solve model seq))
         (Offline_dp.cost (Offline_dp.solve rescaled stretched)))
 
+(* Shifting every request by T only lengthens the wait for the first
+   request: the optimum and SC both hold the initial copy on s0 over
+   the extra [0, T], so each grows by exactly mu * T (and their regret
+   does not move).  Checked to 1e-12 relative at T up to 1e6, where
+   the floats of a 4000-request stream still resolve its gaps. *)
+let time_shift_invariance () =
+  let model = Cost_model.make ~mu:0.7 ~lambda:2.0 () in
+  let seq =
+    Dcache_workload.Generator.generate_seeded ~seed:7
+      {
+        Dcache_workload.Generator.m = 8;
+        n = 4000;
+        arrival = Dcache_workload.Arrival.Poisson { rate = 1.0 };
+        placement = Dcache_workload.Placement.Uniform_random;
+      }
+  in
+  let shifted by =
+    Sequence.create_exn ~m:8
+      (Array.map (fun r -> { r with Request.time = r.Request.time +. by }) (Sequence.requests seq))
+  in
+  let opt s =
+    let k = Streaming_dp.Cost.create model ~m:8 in
+    for i = 1 to Sequence.n s do
+      Streaming_dp.Cost.push k ~server:(Sequence.server s i) ~time:(Sequence.time s i)
+    done;
+    Streaming_dp.Cost.cost k
+  in
+  let sc s = (Online_sc.run model s).Online_sc.total_cost in
+  let base_opt = opt seq and base_sc = sc seq in
+  List.iter
+    (fun by ->
+      let s = shifted by and hold = model.Cost_model.mu *. by in
+      List.iter
+        (fun (name, base, cost) ->
+          let want = base +. hold in
+          let rel = Float.abs (cost -. want) /. want in
+          if rel > 1e-12 then
+            Alcotest.failf "T=%g: %s cost %.17g, want %.17g (relative error %.3g)" by name cost
+              want rel)
+        [ ("optimal", base_opt, opt s); ("SC", base_sc, sc s) ])
+    [ 1e3; 1e6 ]
+
 let server_relabel_invariance =
   qcheck ~count:150 "metamorphic: permuting non-initial server labels preserves the optimum"
     (nonempty_problem_arbitrary ())
@@ -416,5 +458,7 @@ let suite =
     insertion_monotone;
     time_scale_invariance;
     server_relabel_invariance;
+    case "metamorphic: shifting time by T adds mu*T to the optimum and to SC"
+      time_shift_invariance;
     exchange_local_optimality;
   ]
